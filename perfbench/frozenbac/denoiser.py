@@ -1,0 +1,396 @@
+"""Deterministic toy diffusion-transformer denoiser.
+
+The decoder is a pre-LayerNorm residual chain: per layer the hidden state
+gains, in order, a causal self-attention residual, a cross-attention residual
+over the conditioning tokens, and a feed-forward residual.  Every weight is a
+pure function of (config, seed): draws come from one SplitMix64 stream in a
+fixed fill order (input projection, observation encoder, then per layer
+SA(Wq,Wk,Wv,Wo), CA(Wq,Wk,Wv,Wo), FFN(W1,b1,W2,b2), then output projection),
+each tensor filled row-major and scaled to uniform(-a, a) with
+a = sqrt(6 / (fan_in + fan_out)).  LayerNorm gains start at 1 and the
+LayerNorm bias is zero.
+
+Timesteps run in execution order t = 0..K-1; conditioning enters twice, as an
+additive sinusoidal timestep embedding on the token stream and as encoded
+observation tokens consumed by cross-attention.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from dataclasses import dataclass, field
+from typing import Collection, Iterable
+
+import numpy as np
+
+from .blocks import KINDS, BlockId, canonical_blocks
+from .config import DenoiserConfig
+from .errors import DimensionError, RangeError
+from .rng import SplitMix64
+
+LN_EPS = 1e-5
+
+# tanh-form GELU; the smooth activation keeps the forward map twice
+# continuously differentiable, which the error-propagation lab relies on.
+GELU_C = 0.7978845608028654  # sqrt(2 / pi)
+GELU_A = 0.044715
+
+
+def gelu(x: np.ndarray) -> np.ndarray:
+    inner = GELU_C * (x + GELU_A * x**3)
+    return 0.5 * x * (1.0 + np.tanh(inner))
+
+
+def gelu_prime(x: np.ndarray) -> np.ndarray:
+    """Closed-form derivative of the tanh-form GELU."""
+    inner = GELU_C * (x + GELU_A * x**3)
+    th = np.tanh(inner)
+    sech2 = 1.0 - th**2
+    return 0.5 * (1.0 + th) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * GELU_A * x**2)
+
+
+def layer_norm(h: np.ndarray, gamma: np.ndarray, eps: float = LN_EPS) -> np.ndarray:
+    """Row-wise LayerNorm with zero bias; population variance over features."""
+    mu = h.mean(axis=-1, keepdims=True)
+    var = h.var(axis=-1, keepdims=True)
+    return (h - mu) / np.sqrt(var + eps) * gamma
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class MacCounter:
+    """Running multiply-accumulate tally.
+
+    Counts matrix-product MACs plus the documented per-reuse tensor-add charge;
+    elementwise ops (LayerNorm, softmax, GELU, residual adds) are free.
+    """
+
+    __slots__ = ("count",)
+
+    def __init__(self):
+        self.count = 0
+
+    def add(self, n: int) -> None:
+        self.count += int(n)
+
+
+@dataclass(frozen=True)
+class AttentionWeights:
+    wq: np.ndarray
+    wk: np.ndarray
+    wv: np.ndarray
+    wo: np.ndarray
+    gamma: np.ndarray
+
+
+@dataclass(frozen=True)
+class FfnWeights:
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
+    gamma: np.ndarray
+
+
+@dataclass(frozen=True)
+class LayerWeights:
+    sa: AttentionWeights
+    ca: AttentionWeights
+    ffn: FfnWeights
+
+
+@dataclass(frozen=True)
+class ToyDenoiser:
+    config: DenoiserConfig
+    in_proj: np.ndarray   # (action_dim, d_model)
+    obs_proj: np.ndarray  # (action_dim, d_model), applied per conditioning token
+    out_proj: np.ndarray  # (d_model, action_dim)
+    time_emb: np.ndarray  # (K, d_model)
+    layers: tuple[LayerWeights, ...]
+
+
+@dataclass(frozen=True)
+class FeatureTrace:
+    """Residual outputs of every block at every step, plus per-step actions.
+
+    ``residuals[block.ordinal, t]`` is the T x d_model residual the block added
+    at step t; ``actions[t]`` is the denoiser output after step t.
+    """
+
+    residuals: np.ndarray  # (3L, K, T, d_model)
+    actions: np.ndarray    # (K, T, action_dim)
+    captured: dict[tuple[BlockId, int], np.ndarray] | None = field(default=None)
+
+    def block(self, block: BlockId) -> np.ndarray:
+        return self.residuals[block.ordinal]
+
+
+def _xavier(stream: SplitMix64, fan_in: int, fan_out: int, shape: tuple[int, ...]) -> np.ndarray:
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    arr = stream.uniform(int(np.prod(shape)), bound).reshape(shape)
+    arr.flags.writeable = False
+    return arr
+
+
+def _frozen_ones(n: int) -> np.ndarray:
+    arr = np.ones(n)
+    arr.flags.writeable = False
+    return arr
+
+
+def _sinusoidal_table(K: int, d: int) -> np.ndarray:
+    pos = np.arange(K, dtype=np.float64)[:, None]
+    half = (d + 1) // 2
+    freq = np.exp(-np.log(10000.0) * (2.0 * np.arange(half) / d))[None, :]
+    table = np.zeros((K, d))
+    table[:, 0::2] = np.sin(pos * freq)
+    table[:, 1::2] = np.cos(pos * freq)[:, : d // 2]
+    table.flags.writeable = False
+    return table
+
+
+def build_denoiser(config: DenoiserConfig) -> ToyDenoiser:
+    """Construct the seeded denoiser; bit-identical for equal (config, seed)."""
+    d, a = config.d_model, config.action_dim
+    d_ff = config.d_ff
+    stream = SplitMix64(config.seed)
+
+    in_proj = _xavier(stream, a, d, (a, d))
+    obs_proj = _xavier(stream, a, d, (a, d))
+
+    layers = []
+    for _ in range(config.layers):
+        sa = AttentionWeights(
+            *(_xavier(stream, d, d, (d, d)) for _ in range(4)),
+            gamma=_frozen_ones(d),
+        )
+        ca = AttentionWeights(
+            *(_xavier(stream, d, d, (d, d)) for _ in range(4)),
+            gamma=_frozen_ones(d),
+        )
+        w1 = _xavier(stream, d, d_ff, (d, d_ff))
+        b1 = _xavier(stream, d, d_ff, (d_ff,))
+        w2 = _xavier(stream, d_ff, d, (d_ff, d))
+        b2 = _xavier(stream, d_ff, d, (d,))
+        ffn = FfnWeights(w1, b1, w2, b2, gamma=_frozen_ones(d))
+        layers.append(LayerWeights(sa, ca, ffn))
+
+    out_proj = _xavier(stream, d, a, (d, a))
+    return ToyDenoiser(
+        config=config,
+        in_proj=in_proj,
+        obs_proj=obs_proj,
+        out_proj=out_proj,
+        time_emb=_sinusoidal_table(config.K, d),
+        layers=tuple(layers),
+    )
+
+
+def weight_checksum(denoiser: ToyDenoiser) -> str:
+    """SHA-256 over all weight tensors in fill order."""
+    digest = hashlib.sha256()
+    digest.update(denoiser.in_proj.tobytes())
+    digest.update(denoiser.obs_proj.tobytes())
+    for lw in denoiser.layers:
+        for att in (lw.sa, lw.ca):
+            for arr in (att.wq, att.wk, att.wv, att.wo, att.gamma):
+                digest.update(arr.tobytes())
+        for arr in (lw.ffn.w1, lw.ffn.b1, lw.ffn.w2, lw.ffn.b2, lw.ffn.gamma):
+            digest.update(arr.tobytes())
+    digest.update(denoiser.out_proj.tobytes())
+    return digest.hexdigest()
+
+
+def _mha(
+    x_q: np.ndarray,
+    x_kv: np.ndarray,
+    w: AttentionWeights,
+    heads: int,
+    causal: bool,
+    mac: MacCounter | None,
+) -> np.ndarray:
+    t_q, d = x_q.shape
+    t_kv = x_kv.shape[0]
+    d_head = d // heads
+
+    q = x_q @ w.wq
+    k = x_kv @ w.wk
+    v = x_kv @ w.wv
+    if mac is not None:
+        mac.add(t_q * d * d + 2 * t_kv * d * d)
+
+    qh = q.reshape(t_q, heads, d_head).transpose(1, 0, 2)
+    kh = k.reshape(t_kv, heads, d_head).transpose(1, 0, 2)
+    vh = v.reshape(t_kv, heads, d_head).transpose(1, 0, 2)
+
+    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(d_head)
+    if causal:
+        mask = np.triu(np.ones((t_q, t_kv), dtype=bool), k=1)
+        scores[:, mask] = -np.inf
+    weights = softmax(scores)
+    mixed = weights @ vh
+    if mac is not None:
+        mac.add(2 * t_q * t_kv * d)
+
+    merged = mixed.transpose(1, 0, 2).reshape(t_q, d)
+    out = merged @ w.wo
+    if mac is not None:
+        mac.add(t_q * d * d)
+    return out
+
+
+def block_residual(
+    denoiser: ToyDenoiser,
+    block: BlockId,
+    h: np.ndarray,
+    cond: np.ndarray,
+    mac: MacCounter | None = None,
+) -> np.ndarray:
+    """Residual output of one block given the running hidden state.
+
+    This is the single compute path shared by full-precision and cached
+    execution, so a full update plan reproduces the reference bit for bit.
+    """
+    lw = denoiser.layers[block.layer]
+    heads = denoiser.config.heads
+    if block.kind == "SA":
+        x = layer_norm(h, lw.sa.gamma)
+        return _mha(x, x, lw.sa, heads, causal=True, mac=mac)
+    if block.kind == "CA":
+        x = layer_norm(h, lw.ca.gamma)
+        return _mha(x, cond, lw.ca, heads, causal=False, mac=mac)
+    x = layer_norm(h, lw.ffn.gamma)
+    t, d = x.shape
+    u = x @ lw.ffn.w1 + lw.ffn.b1
+    out = gelu(u) @ lw.ffn.w2 + lw.ffn.b2
+    if mac is not None:
+        mac.add(8 * t * d * d)
+    return out
+
+
+def encode_obs(denoiser: ToyDenoiser, obs: np.ndarray, mac: MacCounter | None = None) -> np.ndarray:
+    """Project the raw observation vector into cond_tokens conditioning tokens."""
+    cfg = denoiser.config
+    tokens = obs.reshape(cfg.cond_tokens, cfg.action_dim) @ denoiser.obs_proj
+    if mac is not None:
+        mac.add(cfg.cond_tokens * cfg.action_dim * cfg.d_model)
+    return tokens
+
+
+def embed_action(
+    denoiser: ToyDenoiser, noisy_action: np.ndarray, t: int, mac: MacCounter | None = None
+) -> np.ndarray:
+    cfg = denoiser.config
+    h = noisy_action @ denoiser.in_proj + denoiser.time_emb[t]
+    if mac is not None:
+        mac.add(cfg.action_tokens * cfg.action_dim * cfg.d_model)
+    return h
+
+
+def project_action(
+    denoiser: ToyDenoiser, h: np.ndarray, mac: MacCounter | None = None
+) -> np.ndarray:
+    cfg = denoiser.config
+    out = h @ denoiser.out_proj
+    if mac is not None:
+        mac.add(cfg.action_tokens * cfg.d_model * cfg.action_dim)
+    return out
+
+
+def _check_step_inputs(cfg: DenoiserConfig, noisy_action: np.ndarray, obs: np.ndarray, t: int):
+    if noisy_action.shape != (cfg.action_tokens, cfg.action_dim):
+        raise DimensionError(
+            f"noisy_action shape {noisy_action.shape} != "
+            f"({cfg.action_tokens}, {cfg.action_dim})"
+        )
+    if obs.shape != (cfg.obs_dim,):
+        raise DimensionError(f"obs shape {obs.shape} != ({cfg.obs_dim},)")
+    if not 0 <= t < cfg.K:
+        raise RangeError(f"step {t} outside [0, {cfg.K})")
+
+
+def forward_step(
+    denoiser: ToyDenoiser,
+    noisy_action: np.ndarray,
+    obs: np.ndarray,
+    t: int,
+    mac: MacCounter | None = None,
+) -> tuple[np.ndarray, dict[BlockId, np.ndarray]]:
+    """One denoising step; returns the next action and per-block residuals."""
+    cfg = denoiser.config
+    noisy_action = np.asarray(noisy_action, dtype=np.float64)
+    obs = np.asarray(obs, dtype=np.float64)
+    _check_step_inputs(cfg, noisy_action, obs, t)
+
+    cond = encode_obs(denoiser, obs, mac)
+    h = embed_action(denoiser, noisy_action, t, mac)
+    residuals: dict[BlockId, np.ndarray] = {}
+    for block in canonical_blocks(cfg.layers):
+        r = block_residual(denoiser, block, h, cond, mac)
+        residuals[block] = r
+        h = h + r
+    return project_action(denoiser, h, mac), residuals
+
+
+def denoise_full(
+    denoiser: ToyDenoiser,
+    init_noise: np.ndarray,
+    obs: np.ndarray,
+    mac: MacCounter | None = None,
+    capture: Collection[tuple[BlockId, int]] | None = None,
+) -> tuple[np.ndarray, FeatureTrace]:
+    """Run all K steps, feeding each output into the next step.
+
+    ``capture`` optionally names (block, step) pairs whose pre-block hidden
+    state should be recorded on the returned trace.
+    """
+    cfg = denoiser.config
+    action = np.asarray(init_noise, dtype=np.float64)
+    obs = np.asarray(obs, dtype=np.float64)
+    _check_step_inputs(cfg, action, obs, 0)
+
+    blocks = canonical_blocks(cfg.layers)
+    residuals = np.empty((3 * cfg.layers, cfg.K, cfg.action_tokens, cfg.d_model))
+    actions = np.empty((cfg.K, cfg.action_tokens, cfg.action_dim))
+    wanted = set(capture) if capture is not None else None
+    captured: dict[tuple[BlockId, int], np.ndarray] = {}
+
+    for t in range(cfg.K):
+        cond = encode_obs(denoiser, obs, mac)
+        h = embed_action(denoiser, action, t, mac)
+        for block in blocks:
+            if wanted is not None and (block, t) in wanted:
+                captured[(block, t)] = h.copy()
+            r = block_residual(denoiser, block, h, cond, mac)
+            residuals[block.ordinal, t] = r
+            h = h + r
+        action = project_action(denoiser, h, mac)
+        actions[t] = action
+
+    trace = FeatureTrace(
+        residuals=residuals,
+        actions=actions,
+        captured=captured if wanted is not None else None,
+    )
+    return action, trace
+
+
+def synth_episode(config: DenoiserConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded synthetic episode: Gaussian initial noise, then the observation.
+
+    Draw order is fixed (noise first), so an episode is fully determined by
+    (config, seed).
+    """
+    stream = SplitMix64(seed)
+    init = stream.normal(config.action_tokens * config.action_dim)
+    init = init.reshape(config.action_tokens, config.action_dim)
+    obs = stream.normal(config.obs_dim)
+    return init, obs
+
+
+def iter_blocks(config: DenoiserConfig) -> Iterable[BlockId]:
+    return canonical_blocks(config.layers)

@@ -1,0 +1,58 @@
+"""Exception hierarchy shared across the package."""
+
+
+class BacError(Exception):
+    """Base class for all package-specific failures."""
+
+
+class ConfigError(BacError):
+    """Invalid denoiser configuration (bad counts, non-divisible heads, ...)."""
+
+
+class DimensionError(BacError):
+    """Input array shape does not match the configuration."""
+
+
+class RangeError(BacError):
+    """An index (timestep, similarity index) is outside its valid range."""
+
+
+class DegenerateFeatureError(BacError):
+    """A feature matrix with zero norm was encountered where a direction is required."""
+
+
+class ScheduleError(BacError):
+    """A schedule violates its invariants (missing 0, not ascending, out of range)."""
+
+
+class BudgetError(BacError):
+    """Update budget outside [1, K]."""
+
+
+class EnumerationSizeError(BacError):
+    """Brute-force enumeration would exceed the combinatorial guard."""
+
+
+class PlanError(BacError):
+    """A schedule plan does not cover the architecture or misses mandatory step 0."""
+
+
+class ConsistencyError(BacError):
+    """Two artifacts (profile / schedule / config) disagree on K or block coverage."""
+
+
+class FormatError(BacError):
+    """A persisted file does not match its grammar.
+
+    Carries the offending line number when known so CLI messages can name it.
+    """
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+class CorrelationError(BacError):
+    """Pearson correlation undefined because one series has zero variance."""
