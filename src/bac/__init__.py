@@ -21,6 +21,7 @@ from .denoiser import (
     ToyDenoiser,
     build_denoiser,
     denoise_full,
+    execute,
     forward_step,
     synth_episode,
     weight_checksum,
@@ -28,7 +29,6 @@ from .denoiser import (
 from .engine import (
     FlopsBreakdown,
     RunReport,
-    caching_error_surface,
     flops_estimate,
     run_cached,
     uniform_plan,

@@ -13,7 +13,7 @@ import numpy as np
 from .blocks import parse_block_name
 from .bua import SchedulePlan, added_steps, bubble_union, select_upstream_blocks
 from .config import load_config
-from .denoiser import build_denoiser, synth_episode
+from .denoiser import build_denoiser, denoise_full, synth_episode
 from .engine import run_cached, uniform_plan
 from .errorlab import FfnParams, error_surge_experiment, verify_first_order
 from .errors import BacError, ConsistencyError
@@ -152,7 +152,8 @@ def _cmd_run(args) -> int:
         )
     denoiser = build_denoiser(config)
     init, obs = synth_episode(config, args.seed)
-    _, report = run_cached(denoiser, plan, init, obs)
+    _, reference = denoise_full(denoiser, init, obs)
+    _, report = run_cached(denoiser, plan, init, obs, reference=reference)
 
     baseline_report = None
     if args.baseline:
@@ -160,7 +161,9 @@ def _cmd_run(args) -> int:
         if kind != "uniform" or not value.isdigit():
             raise BacError(f"unsupported baseline {args.baseline!r}")
         base_plan = uniform_plan(config.K, int(value), config.layers)
-        _, baseline_report = run_cached(denoiser, base_plan, init, obs)
+        _, baseline_report = run_cached(
+            denoiser, base_plan, init, obs, reference=reference
+        )
 
     fileio.write_report(report, config.layers, args.report, baseline=baseline_report)
     if args.surface:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .blocks import KINDS, BlockId, canonical_blocks
 from .config import DenoiserConfig
-from .errors import DimensionError, RangeError
+from .errors import DimensionError, PlanError, RangeError
 from .rng import SplitMix64
 
 LN_EPS = 1e-5
@@ -336,17 +336,23 @@ def forward_step(
     return project_action(denoiser, h, mac), residuals
 
 
-def denoise_full(
+def execute(
     denoiser: ToyDenoiser,
+    update: np.ndarray,
     init_noise: np.ndarray,
     obs: np.ndarray,
     mac: MacCounter | None = None,
     capture: Collection[tuple[BlockId, int]] | None = None,
 ) -> tuple[np.ndarray, FeatureTrace]:
-    """Run all K steps, feeding each output into the next step.
+    """Run all K steps under update-then-reuse, feeding each output into the next step.
 
-    ``capture`` optionally names (block, step) pairs whose pre-block hidden
-    state should be recorded on the returned trace.
+    ``update`` is a (3L, K) bool mask over (block ordinal, step).  Where it is
+    true the block recomputes its residual on the current hidden state;
+    elsewhere it serves the residual it served at the previous step and is
+    charged one T x d_model tensor add.  Step 0 must update every block (the
+    cache starts cold).  The returned trace holds the residuals actually
+    served.  ``capture`` optionally names (block, step) pairs whose pre-block
+    hidden state should be recorded on the trace.
     """
     cfg = denoiser.config
     action = np.asarray(init_noise, dtype=np.float64)
@@ -354,8 +360,16 @@ def denoise_full(
     _check_step_inputs(cfg, action, obs, 0)
 
     blocks = canonical_blocks(cfg.layers)
-    residuals = np.empty((3 * cfg.layers, cfg.K, cfg.action_tokens, cfg.d_model))
+    update = np.asarray(update, dtype=bool)
+    if update.shape != (len(blocks), cfg.K):
+        raise DimensionError(f"update mask shape {update.shape} != ({len(blocks)}, {cfg.K})")
+    cold = np.flatnonzero(~update[:, 0])
+    if cold.size:
+        raise PlanError(f"{blocks[cold[0]].name}: cold cache, step 0 must be an update")
+
+    residuals = np.empty((len(blocks), cfg.K, cfg.action_tokens, cfg.d_model))
     actions = np.empty((cfg.K, cfg.action_tokens, cfg.action_dim))
+    reuse_macs = cfg.action_tokens * cfg.d_model
     wanted = set(capture) if capture is not None else None
     captured: dict[tuple[BlockId, int], np.ndarray] = {}
 
@@ -363,11 +377,16 @@ def denoise_full(
         cond = encode_obs(denoiser, obs, mac)
         h = embed_action(denoiser, action, t, mac)
         for block in blocks:
+            i = block.ordinal
             if wanted is not None and (block, t) in wanted:
                 captured[(block, t)] = h.copy()
-            r = block_residual(denoiser, block, h, cond, mac)
-            residuals[block.ordinal, t] = r
-            h = h + r
+            if update[i, t]:
+                residuals[i, t] = block_residual(denoiser, block, h, cond, mac)
+            else:
+                residuals[i, t] = residuals[i, t - 1]
+                if mac is not None:
+                    mac.add(reuse_macs)
+            h = h + residuals[i, t]
         action = project_action(denoiser, h, mac)
         actions[t] = action
 
@@ -377,6 +396,19 @@ def denoise_full(
         captured=captured if wanted is not None else None,
     )
     return action, trace
+
+
+def denoise_full(
+    denoiser: ToyDenoiser,
+    init_noise: np.ndarray,
+    obs: np.ndarray,
+    mac: MacCounter | None = None,
+    capture: Collection[tuple[BlockId, int]] | None = None,
+) -> tuple[np.ndarray, FeatureTrace]:
+    """Full-precision run: ``execute`` with every block updating at every step."""
+    cfg = denoiser.config
+    update = np.ones((3 * cfg.layers, cfg.K), dtype=bool)
+    return execute(denoiser, update, init_noise, obs, mac, capture)
 
 
 def synth_episode(config: DenoiserConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:

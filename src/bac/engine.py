@@ -1,11 +1,12 @@
 """Cached denoising with update-then-reuse semantics plus cost accounting.
 
-At an update step a block recomputes its residual on the current (possibly
-error-bearing) hidden state through the same code path as full precision and
-overwrites its cache; at every other step the cached residual is added
-unchanged, so the feature served at step t always comes from
-max{i in C | i <= t}.  Errors are measured against a full-precision reference
-run with identical inputs.
+Cached and full-precision runs share one forward loop, ``denoiser.execute``:
+a plan becomes a (3L, K) update mask, at an update step a block recomputes its
+residual on the current (possibly error-bearing) hidden state, and at every
+other step the previously served residual is added unchanged, so the feature
+served at step t always comes from max{i in C | i <= t}.  Errors are measured
+after the run, vectorised over all (block, step) pairs, against a
+full-precision reference run with identical inputs.
 
 Cost model (multiply-accumulates, elementwise ops free):
 
@@ -30,27 +31,10 @@ import numpy as np
 
 from .blocks import BlockId, canonical_blocks
 from .config import DenoiserConfig
-from .denoiser import (
-    FeatureTrace,
-    MacCounter,
-    ToyDenoiser,
-    block_residual,
-    denoise_full,
-    embed_action,
-    encode_obs,
-    project_action,
-)
+from .denoiser import FeatureTrace, MacCounter, ToyDenoiser, denoise_full, execute
 from .errors import BudgetError, ConsistencyError, PlanError
 from .bua import SchedulePlan
 from .scheduler import Schedule
-
-
-@dataclass
-class CacheState:
-    """Last cached residual per block and the step it was computed at."""
-
-    values: dict[BlockId, np.ndarray]
-    steps: dict[BlockId, int]
 
 
 @dataclass(frozen=True)
@@ -70,12 +54,10 @@ class RunReport:
     """Per-(block, step) caching errors and the cost accounting of one run."""
 
     errors: np.ndarray        # (3L, K) L2 distance to the reference residual
-    cos_sim: np.ndarray       # (3L, K) cosine to the reference residual (nan if undefined)
     update_mask: np.ndarray   # (3L, K) bool, True where the block recomputed
     provenance: np.ndarray    # (3L, K) source step of the feature served at t
     final_action_l2: float    # rms deviation of the final action
     flops: FlopsBreakdown
-    instrumented_macs: int | None = None
     captured: dict[tuple[BlockId, int], np.ndarray] | None = None
 
     def block_mean_errors(self, layers: int) -> dict[BlockId, float]:
@@ -152,13 +134,6 @@ def flops_estimate(config: DenoiserConfig, plan: SchedulePlan) -> FlopsBreakdown
     )
 
 
-def _cos_or_nan(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return float("nan")
-    return float(a.ravel() @ b.ravel() / (na * nb))
-
-
 def run_cached(
     denoiser: ToyDenoiser,
     plan: SchedulePlan,
@@ -171,72 +146,34 @@ def run_cached(
     """Execute the plan and report errors against the full-precision run.
 
     ``reference`` may carry a precomputed trace for the same inputs (sweeps
-    reuse it); otherwise the reference run happens here, outside the MAC
-    counter.
+    reuse it); otherwise the reference run happens here, after the cached
+    run and outside the MAC counter.
     """
     cfg = denoiser.config
     if plan.layers != cfg.layers:
         raise PlanError(f"plan layers={plan.layers} != config layers={cfg.layers}")
     if plan.K != cfg.K:
         raise ConsistencyError(f"plan K={plan.K} != config K={cfg.K}")
+    update = np.zeros((3 * cfg.layers, cfg.K), dtype=bool)
     for block in canonical_blocks(cfg.layers):
-        if 0 not in plan.schedule(block).step_set:
-            raise PlanError(f"{block.name}: schedule misses mandatory step 0")
+        update[block.ordinal, list(plan.schedule(block).steps)] = True
 
+    action, served = execute(denoiser, update, init_noise, obs, mac=mac, capture=capture)
     if reference is None:
         _, reference = denoise_full(denoiser, init_noise, obs)
-    ref_final = reference.actions[-1]
 
-    blocks = canonical_blocks(cfg.layers)
-    n_blocks = 3 * cfg.layers
-    errors = np.zeros((n_blocks, cfg.K))
-    cos_sim = np.full((n_blocks, cfg.K), np.nan)
-    update_mask = np.zeros((n_blocks, cfg.K), dtype=bool)
-    provenance = np.full((n_blocks, cfg.K), -1, dtype=np.int64)
-    step_sets = {b: plan.schedule(b).step_set for b in blocks}
-    cache = CacheState(values={}, steps={})
-    captured: dict[tuple[BlockId, int], np.ndarray] = {}
-
-    action = np.asarray(init_noise, dtype=np.float64)
-    obs = np.asarray(obs, dtype=np.float64)
-    t_tokens, d = cfg.action_tokens, cfg.d_model
-
-    for t in range(cfg.K):
-        cond = encode_obs(denoiser, obs, mac)
-        h = embed_action(denoiser, action, t, mac)
-        for block in blocks:
-            if capture is not None and (block, t) in capture:
-                captured[(block, t)] = h.copy()
-            if t in step_sets[block]:
-                r = block_residual(denoiser, block, h, cond, mac)
-                cache.values[block] = r
-                cache.steps[block] = t
-                update_mask[block.ordinal, t] = True
-            else:
-                r = cache.values[block]
-                if mac is not None:
-                    mac.add(t_tokens * d)  # reuse is one tensor add
-            provenance[block.ordinal, t] = cache.steps[block]
-            ref = reference.residuals[block.ordinal, t]
-            errors[block.ordinal, t] = np.linalg.norm(r - ref)
-            cos_sim[block.ordinal, t] = _cos_or_nan(r, ref)
-            h = h + r
-        action = project_action(denoiser, h, mac)
-
-    final_dev = float(np.sqrt(np.mean((action - ref_final) ** 2)))
+    # the served residuals are not returned, so their buffer holds the difference
+    diff = served.residuals
+    diff -= reference.residuals
+    errors = np.sqrt(np.einsum("btij,btij->bt", diff, diff))
+    provenance = np.maximum.accumulate(np.where(update, np.arange(cfg.K), -1), axis=1)
+    final_dev = float(np.sqrt(np.mean((action - reference.actions[-1]) ** 2)))
     report = RunReport(
         errors=errors,
-        cos_sim=cos_sim,
-        update_mask=update_mask,
+        update_mask=update,
         provenance=provenance,
         final_action_l2=final_dev,
         flops=flops_estimate(cfg, plan),
-        instrumented_macs=None if mac is None else mac.count,
-        captured=captured if capture is not None else None,
+        captured=served.captured,
     )
     return action, report
-
-
-def caching_error_surface(report: RunReport) -> tuple[np.ndarray, np.ndarray]:
-    """(errors, update mask) matrices, blocks in canonical order by row."""
-    return report.errors.copy(), report.update_mask.copy()

@@ -84,6 +84,8 @@ def parse_profile(text: str) -> SimilarityProfile:
             s = np.array([float(tok) for tok in s_line[3:].split(",")])
         except ValueError:
             raise FormatError("malformed similarity value", idx + 2) from None
+        if not np.isfinite(s).all():
+            raise FormatError("similarity values must be finite", idx + 2)
         if len(s) != K - 1:
             raise FormatError(
                 f"expected {K - 1} similarities, got {len(s)}", idx + 2
@@ -95,8 +97,8 @@ def parse_profile(text: str) -> SimilarityProfile:
             ell = float(l_line[4:])
         except ValueError:
             raise FormatError("malformed L1 value", idx + 3) from None
-        if ell < 0:
-            raise FormatError("L1 magnitude must be nonnegative", idx + 3)
+        if not np.isfinite(ell) or ell < 0:
+            raise FormatError("L1 magnitude must be finite and nonnegative", idx + 3)
         blocks[block] = BlockStats.from_similarities(s, ell)
         idx += 3
     if any(line.strip() for line in lines[idx:]):

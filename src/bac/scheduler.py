@@ -45,10 +45,6 @@ class Schedule:
         if self.steps[-1] >= self.K:
             raise ScheduleError(f"step {self.steps[-1]} outside [0, {self.K})")
 
-    @property
-    def step_set(self) -> frozenset[int]:
-        return frozenset(self.steps)
-
     def __len__(self) -> int:
         return len(self.steps)
 

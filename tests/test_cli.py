@@ -174,6 +174,42 @@ def test_parse_error_names_line(workspace, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def _edit_profile_line(tmp, cfg, prefix, edit):
+    """Profile whose first line starting with ``prefix`` is replaced by
+    ``edit(line)``; returns its path and the 1-based number of that line."""
+    prof = tmp / "p.bacprof"
+    run_cli("profile", "--config", cfg, "--seed", 1, "--out", prof)
+    lines = prof.read_text().splitlines()
+    idx = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[idx] = edit(lines[idx])
+    prof.write_text("\n".join(lines) + "\n")
+    return prof, idx + 1
+
+
+def test_nan_similarity_rejected_with_line(workspace, capsys):
+    tmp, cfg = workspace
+    prof, lineno = _edit_profile_line(
+        tmp, cfg, "S: ", lambda line: line.rpartition(",")[0] + ",nan"
+    )
+    code = run_cli("schedule", "--profile", prof, "--budget", 3, "--out", tmp / "s")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"line {lineno}" in err and "finite" in err
+
+
+def test_infinite_l1_rejected_with_line(workspace, capsys):
+    tmp, cfg = workspace
+    prof, lineno = _edit_profile_line(tmp, cfg, "L1: ", lambda line: "L1: inf")
+    sched = tmp / "s.bacsched"
+    sched.write_text("".join(
+        f"layers.{layer}.{kind}: 0,6\n" for layer in range(2) for kind in ("SA", "CA", "FFN")
+    ))
+    code = run_cli("bubble", "--profile", prof, "--sched", sched, "--out", tmp / "r")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"line {lineno}" in err and "finite" in err
+
+
 def test_schedule_config_mismatch_exits_two(workspace):
     # the schedule grammar carries no K header, so a horizon mismatch is
     # detected when a scheduled step falls outside the config's range

@@ -4,10 +4,9 @@ import pytest
 from bac.blocks import BlockId, canonical_blocks
 from bac.bua import SchedulePlan
 from bac.config import DenoiserConfig
-from bac.denoiser import MacCounter, build_denoiser, denoise_full, synth_episode
+from bac.denoiser import MacCounter, build_denoiser, denoise_full, execute, synth_episode
 from bac.engine import (
     block_cost,
-    caching_error_surface,
     flops_estimate,
     overhead_per_step,
     run_cached,
@@ -95,12 +94,31 @@ def test_zero_plan_surface_is_drift_from_step_zero(small_denoiser, small_config,
     _, trace = denoise_full(small_denoiser, init, obs)
     _, report = run_cached(small_denoiser, zero_plan(small_config), init, obs,
                            reference=trace)
-    errors, mask = caching_error_surface(report)
     for block in canonical_blocks(small_config.layers):
         feats = trace.block(block)
         want = np.linalg.norm(feats - feats[0], axis=(1, 2))
-        assert np.allclose(errors[block.ordinal], want, atol=1e-10)
-    assert mask[:, 0].all() and not mask[:, 1:].any()
+        assert np.allclose(report.errors[block.ordinal], want, atol=1e-10)
+    assert report.update_mask[:, 0].all() and not report.update_mask[:, 1:].any()
+
+
+def test_mixed_plan_error_surface(small_denoiser, small_config, small_episode):
+    """Per-block schedules that differ: every error is the distance between
+    the served and the reference residual, and every served residual is the
+    one computed at its provenance step."""
+    init, obs = small_episode
+    plan = _plan(small_config, lambda b: (0, 2, 7) if b.kind == "FFN" else (0, 5))
+    _, reference = denoise_full(small_denoiser, init, obs)
+    got, report = run_cached(small_denoiser, plan, init, obs, reference=reference)
+    want, served = execute(small_denoiser, report.update_mask, init, obs)
+    assert np.array_equal(got, want)
+    for block in canonical_blocks(small_config.layers):
+        b = block.ordinal
+        for t in range(small_config.K):
+            r = served.residuals[b, t]
+            dist = np.linalg.norm(r - reference.residuals[b, t])
+            assert report.errors[b, t] == pytest.approx(dist, rel=1e-12, abs=0.0)
+            assert np.array_equal(r, served.residuals[b, report.provenance[b, t]])
+    assert report.errors[:, 5].any()
 
 
 def test_error_zero_at_step_zero(small_denoiser, small_config, small_episode):
@@ -113,9 +131,8 @@ def test_error_zero_at_step_zero(small_denoiser, small_config, small_episode):
 def test_all_steps_plan_zero_surface(small_denoiser, small_config, small_episode):
     init, obs = small_episode
     _, report = run_cached(small_denoiser, full_plan(small_config), init, obs)
-    errors, mask = caching_error_surface(report)
-    assert np.all(errors == 0.0)
-    assert mask.all()
+    assert np.all(report.errors == 0.0)
+    assert report.update_mask.all()
 
 
 def test_missing_step_zero_is_cold_cache_error(small_denoiser, small_config, small_episode):

@@ -4,37 +4,7 @@ import pytest
 from bac import kernels
 
 
-@pytest.fixture
-def force_numpy(monkeypatch):
-    monkeypatch.setenv("BAC_NO_NUMBA", "1")
-
-
-def test_env_flag_switches_backend(monkeypatch):
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    monkeypatch.delenv("BAC_NO_NUMBA", raising=False)
-    assert kernels.active_backend() == "numba"
-    monkeypatch.setenv("BAC_NO_NUMBA", "1")
-    assert kernels.active_backend() == "numpy"
-
-
-def test_dp_fill_backends_bit_identical(monkeypatch):
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        K = int(rng.integers(2, 40))
-        m = int(rng.integers(0, min(9, K)))
-        prefix = np.concatenate([[0.0], np.cumsum(rng.uniform(-1, 1, K - 1))])
-        monkeypatch.setenv("BAC_NO_NUMBA", "1")
-        dp_np, ptr_np = kernels.dp_fill(prefix, m)
-        monkeypatch.delenv("BAC_NO_NUMBA")
-        dp_nb, ptr_nb = kernels.dp_fill(prefix, m)
-        assert np.array_equal(dp_np, dp_nb)
-        assert np.array_equal(ptr_np, ptr_nb)
-
-
-def test_dp_fill_sentinels(force_numpy):
+def test_dp_fill_sentinels():
     prefix = np.array([0.0, 0.5, 1.0, 1.2])
     dp, ptr = kernels.dp_fill(prefix, 2)
     assert dp[0, 0] == 0.0 and np.all(np.isneginf(dp[0, 1:]))
@@ -45,20 +15,15 @@ def test_dp_fill_sentinels(force_numpy):
     assert np.all(ptr < cols)
 
 
-def test_pairwise_l1_backends_agree(monkeypatch):
+def test_pairwise_l1_matches_brute_force():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(37, 50))
-    monkeypatch.setenv("BAC_NO_NUMBA", "1")
-    v_np = kernels.pairwise_l1_total(X)
     brute = sum(
         float(np.abs(X[t] - X[u]).sum()) for t in range(37) for u in range(37)
     )
-    assert v_np == pytest.approx(brute, rel=1e-12)
-    if kernels.HAVE_NUMBA:
-        monkeypatch.delenv("BAC_NO_NUMBA")
-        assert kernels.pairwise_l1_total(X) == pytest.approx(brute, rel=1e-12)
+    assert kernels.pairwise_l1_total(X) == pytest.approx(brute, rel=1e-12)
 
 
-def test_pairwise_l1_constant_rows_zero(force_numpy):
+def test_pairwise_l1_constant_rows_zero():
     X = np.ones((5, 4)) * 2.5
     assert kernels.pairwise_l1_total(X) == 0.0
