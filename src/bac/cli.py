@@ -1,6 +1,7 @@
 """Command-line surface: profile -> schedule -> bubble -> run -> verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage, input or resource
+error (including running out of memory).
 """
 
 from __future__ import annotations
@@ -31,11 +32,21 @@ def _u64(text: str) -> int:
     return value
 
 
+_EXIT_CODES = """exit codes:
+  0  success
+  1  verification failure (bac verify)
+  2  usage, input or resource error (bad arguments, malformed or
+     inconsistent files, out of memory)
+"""
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bac",
         description="Block-level feature-cache scheduling for a toy "
         "diffusion-transformer denoiser.",
+        epilog=_EXIT_CODES,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -210,6 +221,8 @@ def _cmd_export(args) -> int:
         return 0
 
     if args.what == "remainder":
+        if args.dim < 1:
+            raise BacError(f"--dim must be at least 1, got {args.dim}")
         rng = np.random.default_rng(args.seed)
         d, d_ff = args.dim, 4 * args.dim
         params = FfnParams(
@@ -258,6 +271,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; use a smaller config or fewer episodes",
+              file=sys.stderr)
         return 2
 
 

@@ -259,6 +259,38 @@ def test_export_missing_inputs_exit_two(workspace):
                    "--out", tmp / "s.csv") == 2
 
 
+@pytest.mark.parametrize("dim", [-1, 0])
+def test_export_remainder_rejects_nonpositive_dim(workspace, capsys, dim):
+    tmp, _ = workspace
+    out = tmp / "r.csv"
+    assert run_cli("export", "--what", "remainder", "--dim", dim,
+                   "--out", out) == 2
+    assert "--dim" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_two(workspace, capsys, monkeypatch):
+    tmp, cfg = workspace
+
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("bac.cli.profile_task", exhausted)
+    assert run_cli("profile", "--config", cfg, "--out", tmp / "p.bacprof") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
+def test_help_lists_exit_codes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "exit codes:" in out
+    for code in ("0  success", "1  verification failure", "2  usage"):
+        assert code in out
+
+
 def test_verify_command_green(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,11 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bac import kernels
 
@@ -27,3 +33,41 @@ def test_pairwise_l1_matches_brute_force():
 def test_pairwise_l1_constant_rows_zero():
     X = np.ones((5, 4)) * 2.5
     assert kernels.pairwise_l1_total(X) == 0.0
+
+
+def _brute_l1_total(X):
+    K = X.shape[0]
+    return math.fsum(
+        float(np.abs(X[t] - X[u]).sum()) for t in range(K) for u in range(K)
+    )
+
+
+# integer-valued draws from a narrow range give many ties and negatives
+_ELEMENTS = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+)
+
+
+@given(
+    st.tuples(st.integers(1, 40), st.integers(0, 8)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=_ELEMENTS)
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_pairwise_l1_property_matches_double_loop(X):
+    assert kernels.pairwise_l1_total(X) == pytest.approx(_brute_l1_total(X), rel=1e-12)
+
+
+def test_pairwise_l1_large_common_offset_exact():
+    rng = np.random.default_rng(3)
+    X = 1e8 + rng.normal(0.0, 1e-3, size=(30, 8))
+    rows = [[Fraction(v) for v in row] for row in X.tolist()]
+    exact = sum(
+        abs(a - b) for r in rows for q in rows for a, b in zip(r, q)
+    )
+    assert kernels.pairwise_l1_total(X) == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_pairwise_l1_single_step_is_zero():
+    assert kernels.pairwise_l1_total(np.arange(6.0).reshape(1, 6)) == 0.0
