@@ -52,15 +52,18 @@ from .profiler import (
     cosine,
     interval_similarity,
     profile_task,
+    similarity_matrices,
     similarity_matrix,
 )
 from .scheduler import (
     DpTables,
     Schedule,
+    anchored_objective,
     brute_force_schedule,
     decomposition_objective,
     objective,
     solve_schedule,
+    solve_schedule_anchored,
 )
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Hot numeric kernels, in numpy.
 
-The schedule DP fill and the pairwise-L1 feature spread are the two inner
-loops of scheduling and profiling; they live here so they can be timed and
-tested on their own.
+The two schedule DP fills (consecutive and anchored segment scores) and the
+pairwise-L1 feature spread are the inner loops of scheduling and profiling;
+they live here so they can be timed and tested on their own.
 """
 
 from __future__ import annotations
@@ -35,6 +35,43 @@ def dp_fill(prefix: np.ndarray, n_interior: int) -> tuple[np.ndarray, np.ndarray
         arg = np.maximum.accumulate(np.where(improve, idx, -1))
         dp[m, 1:] = run[:-1] + prefix[:-1]
         ptr[m, 1:] = arg[:-1]
+    return dp, ptr
+
+
+# ---------------------------------------------------------------------------
+# Anchored schedule DP table fill.
+#
+# Same state space and sentinels as dp_fill, but a segment (i, j] opened by an
+# update at step i is scored against the anchor row i of the similarity
+# matrix: seg(i, j) = row_prefix[i, j] - row_prefix[i, i], which is exactly
+# 0.0 for the empty segment j = i (x - x is +0.0 for finite x, and the
+# scheduler admits only finite matrices).  The transition into an update at j closes
+# (i, j-1], so each m takes a column argmax over the (K, K) candidates
+# dp[m-1, i] + seg(i, j-1) with i >= j masked to -inf; argmax returns the
+# first maximum, so ties resolve to the smallest i.
+# ---------------------------------------------------------------------------
+
+
+def anchored_dp_fill(
+    row_prefix: np.ndarray, n_interior: int
+) -> tuple[np.ndarray, np.ndarray]:
+    row_prefix = np.ascontiguousarray(row_prefix, dtype=np.float64)
+    K = row_prefix.shape[0]
+    # seg[i, j] = anchored score of (i, j-1] when an update at j follows i
+    seg = np.full((K, K), -np.inf)
+    seg[:, 1:] = row_prefix[:, :-1] - np.diagonal(row_prefix)[:, None]
+    seg[np.tri(K, dtype=bool)] = -np.inf
+    dp = np.full((n_interior + 1, K), -np.inf)
+    ptr = np.full((n_interior + 1, K), -1, dtype=np.int64)
+    dp[0, 0] = 0.0
+    cols = np.arange(K)
+    for m in range(1, n_interior + 1):
+        cand = dp[m - 1][:, None] + seg
+        arg = np.argmax(cand, axis=0)
+        best = cand[arg, cols]
+        ok = best > -np.inf
+        dp[m, ok] = best[ok]
+        ptr[m, ok] = arg[ok]
     return dp, ptr
 
 

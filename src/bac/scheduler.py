@@ -101,20 +101,28 @@ def solve_schedule(s, K: int, budget_S: int) -> tuple[Schedule, DpTables]:
     prefix = _prefix_sums(s)[:K]  # prefix[t] = s_1 + ... + s_t
     dp, ptr = kernels.dp_fill(prefix, n_interior)
 
-    totals = dp[n_interior] + (prefix[K - 1] - prefix)
+    endpoint = _best_endpoint(dp[n_interior] + (prefix[K - 1] - prefix), budget_S)
+    schedule = _backtrack(ptr, endpoint, n_interior, K)
+    return schedule, DpTables(dp=dp, ptr=ptr, endpoint=endpoint)
+
+
+def _best_endpoint(totals: np.ndarray, budget_S: int) -> int:
+    """Smallest step maximizing the table value plus the final open segment."""
     finite = np.isfinite(totals)
     if not finite.any():
         raise BudgetError(f"no feasible schedule for budget {budget_S}")
-    endpoint = int(np.argmax(np.where(finite, totals, -np.inf)))
+    return int(np.argmax(np.where(finite, totals, -np.inf)))
 
-    steps = [0] * budget_S
+
+def _backtrack(ptr: np.ndarray, endpoint: int, n_interior: int, K: int) -> Schedule:
+    steps = [0] * (n_interior + 1)
     j = endpoint
     for m in range(n_interior, 0, -1):
         steps[m] = j
         j = int(ptr[m, j])
     if j != 0:
         raise ScheduleError("backtrack did not terminate at step 0")
-    return Schedule(tuple(steps), K), DpTables(dp=dp, ptr=ptr, endpoint=endpoint)
+    return Schedule(tuple(steps), K)
 
 
 def brute_force_schedule(s, K: int, budget_S: int) -> Schedule:
@@ -167,65 +175,49 @@ def decomposition_objective(s, K: int, budget_S: int) -> float:
 # Anchored variant (experimentation only): a segment starting at update step i
 # is scored by the similarity of each covered step to the anchor feature b_i
 # itself, which needs the full K x K similarity matrix instead of consecutive
-# similarities.  Not used by the default pipeline.
+# similarities.  The DP has the same state space as solve_schedule and its
+# fill is the numpy kernel kernels.anchored_dp_fill.  Reached only through
+# `bac schedule --anchored`; not used by the default pipeline.
 # ---------------------------------------------------------------------------
 
 
+def _validate_matrix(sim) -> np.ndarray:
+    sim = np.asarray(sim, dtype=np.float64)
+    if sim.ndim != 2 or sim.shape[0] != sim.shape[1] or sim.size == 0:
+        raise ScheduleError("similarity matrix must be a non-empty square 2-D array")
+    bad = np.argwhere(~np.isfinite(sim))
+    if len(bad):
+        i, j = map(int, bad[0])
+        raise ScheduleError(f"similarity matrix entry ({i}, {j}) is {sim[i, j]}")
+    return sim
+
+
 def anchored_objective(schedule: Schedule, sim: np.ndarray) -> float:
+    """Covered anchored similarity of ``schedule`` under the K x K matrix."""
+    sim = _validate_matrix(sim)
     K = sim.shape[0]
-    if sim.shape != (K, K):
-        raise ScheduleError("similarity matrix must be square")
     if schedule.K != K:
         raise ScheduleError(f"schedule horizon {schedule.K} != {K}")
     row_prefix = np.cumsum(sim, axis=1)
-    total = 0.0
-    bounds = list(schedule.steps) + [K]
-    for i, nxt in zip(bounds, bounds[1:]):
-        if nxt - 1 > i:
-            total += row_prefix[i, nxt - 1] - row_prefix[i, i]
-    return float(total)
+    starts = np.array(schedule.steps, dtype=np.int64)
+    ends = np.append(starts[1:], K) - 1  # segment (c_m, c_{m+1} - 1]
+    return float(np.sum(row_prefix[starts, ends] - row_prefix[starts, starts]))
 
 
 def solve_schedule_anchored(sim: np.ndarray, budget_S: int) -> Schedule:
-    """DP over anchored segment scores; same state space as solve_schedule."""
-    sim = np.asarray(sim, dtype=np.float64)
+    """Maximize the covered anchored similarity with exactly ``budget_S`` updates.
+
+    Fills the tables with kernels.anchored_dp_fill, then picks the endpoint
+    and backtracks as solve_schedule does; ties resolve to the smallest index.
+    """
+    sim = _validate_matrix(sim)
     K = sim.shape[0]
-    if sim.ndim != 2 or sim.shape != (K, K):
-        raise ScheduleError("similarity matrix must be square")
     if not 1 <= budget_S <= K:
         raise BudgetError(f"budget {budget_S} outside [1, {K}]")
 
-    row_prefix = np.cumsum(sim, axis=1)
-
-    def seg(i: int, j: int) -> float:
-        # anchored score of segment (i, j], 0 when empty
-        return row_prefix[i, j] - row_prefix[i, i] if j > i else 0.0
-
     n_interior = budget_S - 1
-    dp = np.full((n_interior + 1, K), -np.inf)
-    ptr = np.full((n_interior + 1, K), -1, dtype=np.int64)
-    dp[0, 0] = 0.0
-    for m in range(1, n_interior + 1):
-        for j in range(m, K):
-            best, best_i = -np.inf, -1
-            for i in range(m - 1, j):
-                if not np.isfinite(dp[m - 1, i]):
-                    continue
-                v = dp[m - 1, i] + seg(i, j - 1)
-                if v > best:
-                    best, best_i = v, i
-            if best_i >= 0:
-                dp[m, j] = best
-                ptr[m, j] = best_i
-
-    totals = [
-        dp[n_interior, j] + seg(j, K - 1) if np.isfinite(dp[n_interior, j]) else -np.inf
-        for j in range(K)
-    ]
-    endpoint = int(np.argmax(totals))
-    steps = [0] * budget_S
-    j = endpoint
-    for m in range(n_interior, 0, -1):
-        steps[m] = j
-        j = int(ptr[m, j])
-    return Schedule(tuple(steps), K)
+    row_prefix = np.cumsum(sim, axis=1)
+    dp, ptr = kernels.anchored_dp_fill(row_prefix, n_interior)
+    tail = row_prefix[:, K - 1] - np.diagonal(row_prefix)  # segment (j, K-1]
+    endpoint = _best_endpoint(dp[n_interior] + tail, budget_S)
+    return _backtrack(ptr, endpoint, n_interior, K)

@@ -21,6 +21,25 @@ def test_dp_fill_sentinels():
     assert np.all(ptr < cols)
 
 
+def test_anchored_dp_fill_sentinels():
+    sim = np.arange(16.0).reshape(4, 4)
+    row_prefix = np.cumsum(sim, axis=1)
+    dp, ptr = kernels.anchored_dp_fill(row_prefix, 2)
+    assert dp.shape == ptr.shape == (3, 4)
+    assert dp[0, 0] == 0.0 and np.all(np.isneginf(dp[0, 1:]))
+    assert np.isneginf(dp[1, 0])        # first interior update cannot sit at 0
+    assert np.isneginf(dp[2, :2]).all()  # two interior updates need j >= 2
+    # row 0 has no predecessor; below it, unset pointers are exactly the
+    # infeasible states, and set ones lie below their column
+    assert np.all(ptr[0] == -1)
+    assert np.array_equal(ptr[1:] == -1, np.isneginf(dp[1:]))
+    cols = np.arange(4)
+    assert np.all(ptr < cols)
+    # one interior update at j closes the anchor-0 segment (0, j-1]
+    assert dp[1, 1:].tolist() == [0.0, 1.0, 3.0]
+    assert ptr[1, 1:].tolist() == [0, 0, 0]
+
+
 def test_pairwise_l1_matches_brute_force():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(37, 50))
