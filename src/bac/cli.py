@@ -123,6 +123,10 @@ def _cmd_schedule(args) -> int:
             raise ConsistencyError(
                 f"config K={config.K} != profile K={profile.K}"
             )
+        if config.layers != profile.layer_count:
+            raise ConsistencyError(
+                f"config layers={config.layers} != profile layers={profile.layer_count}"
+            )
         matrices = similarity_matrices(build_denoiser(config), args.episodes, args.seed)
         schedules = {
             b: solve_schedule_anchored(matrices[b], args.budget) for b in matrices

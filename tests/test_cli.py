@@ -105,6 +105,25 @@ def test_schedule_anchored_needs_config(workspace):
         assert len(plan.schedule(block).steps) == 3
 
 
+def test_schedule_anchored_rejects_layer_mismatch(workspace, monkeypatch, capsys):
+    tmp, cfg = workspace
+    prof, sched = tmp / "p.bacprof", tmp / "s.bacsched"
+    run_cli("profile", "--config", cfg, "--seed", 1, "--out", prof)
+    other = tmp / "one_layer.cfg"
+    other.write_text(CONFIG_TEXT.replace("layers=2", "layers=1"))
+
+    def no_matrices(*args, **kwargs):
+        raise AssertionError("similarity matrices built before the layer check")
+
+    monkeypatch.setattr("bac.cli.similarity_matrices", no_matrices)
+    capsys.readouterr()
+    assert run_cli("schedule", "--profile", prof, "--budget", 3, "--anchored",
+                   "--config", other, "--seed", 1, "--out", sched) == 2
+    err = capsys.readouterr().err
+    assert "layers=1" in err and "profile layers=2" in err
+    assert not sched.exists()
+
+
 def test_bubble_topk_zero_is_identity(workspace):
     tmp, cfg = workspace
     prof, sched, out = tmp / "p.bacprof", tmp / "s.bacsched", tmp / "o.bacsched"

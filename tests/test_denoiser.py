@@ -2,20 +2,35 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bac.blocks import BlockId, canonical_blocks
 from bac.config import DenoiserConfig
 from bac.denoiser import (
+    MacCounter,
+    _causal_mask,
+    _mha,
+    block_residual,
     build_denoiser,
     denoise_full,
+    embed_action,
+    encode_obs,
+    execute,
     forward_step,
     gelu,
     gelu_prime,
+    layer_norm,
+    project_action,
     synth_episode,
     weight_checksum,
 )
+from bac.engine import uniform_plan
 from bac.errors import ConfigError, DimensionError, RangeError
+from bac.profiler import profile_task
 from bac.rng import derive_seed
+from bac.scheduler import solve_schedule
 
 
 def test_build_is_deterministic(small_config):
@@ -136,3 +151,150 @@ def test_synth_episode_deterministic(small_config):
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     c = synth_episode(small_config, 124)
     assert not np.array_equal(a[0], c[0])
+
+
+def test_gelu_prime_matches_central_difference_on_ffn_preactivations(
+    default_denoiser, default_config
+):
+    init, obs = synth_episode(default_config, derive_seed(7, 2))
+    want = {(BlockId(layer, "FFN"), t) for layer in (0, 7) for t in (0, 50, 99)}
+    _, trace = denoise_full(default_denoiser, init, obs, capture=want)
+    u = np.concatenate([
+        layer_norm(h, default_denoiser.layers[b.layer].ffn.gamma)
+        @ default_denoiser.layers[b.layer].ffn.w1 + default_denoiser.layers[b.layer].ffn.b1
+        for (b, _), h in trace.captured.items()
+    ])
+    step = 1e-5
+    fd = (gelu(u + step) - gelu(u - step)) / (2 * step)
+    # atol covers the zero of gelu' near x = -0.75, where no relative bound holds
+    np.testing.assert_allclose(gelu_prime(u), fd, rtol=1e-6, atol=1e-9)
+
+
+def _two_pass_layer_norm(h, gamma, eps=1e-5):
+    return (h - h.mean(-1, keepdims=True)) / np.sqrt(h.var(-1, keepdims=True) + eps) * gamma
+
+
+@given(
+    arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 70)),
+           elements=st.floats(-1e3, 1e3)),
+    st.sampled_from([0.0, 1.0, -3.5, 1e8]),
+    st.floats(0.25, 4.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_layer_norm_equals_two_pass_form_bitwise(h, offset, gain):
+    h = h + offset
+    gamma = gain * np.linspace(0.5, 1.5, h.shape[1])
+    assert np.array_equal(layer_norm(h, gamma), _two_pass_layer_norm(h, gamma))
+
+
+def _fresh_mask_mha(x, w, heads):
+    """Causal self-attention with the mask built and applied on every call."""
+    t, d = x.shape
+    d_head = d // heads
+    qh, kh, vh = (
+        (x @ m).reshape(t, heads, d_head).transpose(1, 0, 2) for m in (w.wq, w.wk, w.wv)
+    )
+    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(d_head)
+    scores[:, np.triu(np.ones((t, t), dtype=bool), k=1)] = -np.inf
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    weights = e / e.sum(axis=-1, keepdims=True)
+    return (weights @ vh).transpose(1, 0, 2).reshape(t, d) @ w.wo
+
+
+@pytest.mark.parametrize("tokens", range(1, 10))
+def test_causal_attention_with_cached_mask_matches_fresh_mask(default_denoiser, tokens):
+    rng = np.random.default_rng(tokens)
+    sa = default_denoiser.layers[3].sa
+    heads = default_denoiser.config.heads
+    x = rng.standard_normal((tokens, default_denoiser.config.d_model))
+    for _ in range(2):  # the second call reads the cached mask
+        got = _mha(x, x, sa, heads, causal=True, mac=None)
+        assert np.array_equal(got, _fresh_mask_mha(x, sa, heads))
+    assert not _causal_mask(tokens, tokens).flags.writeable
+
+
+# -- the execute loop against its per-block oracle ---------------------------------
+
+
+def _execute_loop(denoiser, update, init_noise, obs, mac=None, capture=None):
+    """Exact-parity oracle: ``execute`` as one indexed write and one fresh sum
+    per (block, step), charging each reuse as it happens.
+
+    It calls the same block, embedding and projection functions, so its
+    results must equal ``execute``'s bit for bit.
+    """
+    cfg = denoiser.config
+    action = np.asarray(init_noise, dtype=np.float64)
+    blocks = canonical_blocks(cfg.layers)
+    residuals = np.empty((len(blocks), cfg.K, cfg.action_tokens, cfg.d_model))
+    actions = np.empty((cfg.K, cfg.action_tokens, cfg.action_dim))
+    wanted = set(capture) if capture is not None else None
+    captured = {}
+    for t in range(cfg.K):
+        cond = encode_obs(denoiser, obs, mac)
+        h = embed_action(denoiser, action, t, mac)
+        for block in blocks:
+            i = block.ordinal
+            if wanted is not None and (block, t) in wanted:
+                captured[(block, t)] = h.copy()
+            if update[i, t]:
+                residuals[i, t] = block_residual(denoiser, block, h, cond, mac)
+            else:
+                residuals[i, t] = residuals[i, t - 1]
+                if mac is not None:
+                    mac.add(cfg.action_tokens * cfg.d_model)
+            h = h + residuals[i, t]
+        action = project_action(denoiser, h, mac)
+        actions[t] = action
+    return action, residuals, actions, captured if wanted is not None else None
+
+
+@pytest.fixture(scope="module")
+def execute_cases(default_denoiser, default_config):
+    cfg = default_config
+    n, K = 3 * cfg.layers, cfg.K
+
+    def mask_of(plan):
+        update = np.zeros((n, K), dtype=bool)
+        for block in canonical_blocks(cfg.layers):
+            update[block.ordinal, list(plan.schedule(block).steps)] = True
+        return update
+
+    profile = profile_task(default_denoiser, 1, 42)
+    dp = np.zeros((n, K), dtype=bool)
+    for block, stats in profile.blocks.items():
+        dp[block.ordinal, list(solve_schedule(stats.s, K, 10)[0].steps)] = True
+    step0 = np.zeros((n, K), dtype=bool)
+    step0[:, 0] = True
+    uniform = mask_of(uniform_plan(K, 10, cfg.layers))
+    capture = {(b, t) for b in canonical_blocks(cfg.layers)[::5] for t in (0, 1, 9, 10, 55, 99)}
+    capture |= {(BlockId(cfg.layers, "SA"), 3), (BlockId(0, "FFN"), K)}  # never reached
+    return {
+        "full": (np.ones((n, K), dtype=bool), None),
+        "uniform10": (uniform, None),
+        "dp10": (dp, None),
+        "step0_only": (step0, None),
+        "uniform10_capture": (uniform, capture),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["full", "uniform10", "dp10", "step0_only", "uniform10_capture"])
+def test_execute_matches_per_block_oracle(default_denoiser, default_config, execute_cases, case):
+    update, capture = execute_cases[case]
+    init, obs = synth_episode(default_config, derive_seed(7, 3))
+    mac, oracle_mac = MacCounter(), MacCounter()
+    action, trace = execute(default_denoiser, update, init, obs, mac=mac, capture=capture)
+    want_action, want_residuals, want_actions, want_captured = _execute_loop(
+        default_denoiser, update, init, obs, mac=oracle_mac, capture=capture)
+    assert np.array_equal(action, want_action)
+    assert np.array_equal(trace.residuals, want_residuals)
+    assert np.array_equal(trace.actions, want_actions)
+    assert mac.count == oracle_mac.count
+    if capture is None:
+        assert trace.captured is None
+    else:
+        assert list(trace.captured) == list(want_captured)
+        for key, state in want_captured.items():
+            assert np.array_equal(trace.captured[key], state)
