@@ -22,14 +22,19 @@ actions moved by at most 5e-13 relative, and the files of the README pipeline
 and of ``bac export`` stayed byte-identical.  LayerNorm, the causal mask and
 the ``execute`` loop are written for speed too, but keep the exact floating
 point operations of their plain forms, so they change no bits.
+
+The kernels take leading batch axes (``*lead, T, d``; MACs are per row), so
+``execute`` runs E episodes as one batch, saving numpy's per-call dispatch on
+these small tensors; each row equals its own run bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
-from typing import Collection, Iterable
+from typing import Collection
 
 import numpy as np
 
@@ -137,7 +142,8 @@ class FeatureTrace:
     """Residual outputs of every block at every step, plus per-step actions.
 
     ``residuals[block.ordinal, t]`` is the T x d_model residual the block added
-    at step t; ``actions[t]`` is the denoiser output after step t.
+    at step t; ``actions[t]`` is the denoiser output after step t.  A batched
+    ``execute`` puts a leading episode axis on every array.
     """
 
     residuals: np.ndarray  # (3L, K, T, d_model)
@@ -240,32 +246,31 @@ def _mha(
     causal: bool,
     mac: MacCounter | None,
 ) -> np.ndarray:
-    t_q, d = x_q.shape
-    t_kv = x_kv.shape[0]
+    *lead, t_q, d = x_q.shape
+    t_kv = x_kv.shape[-2]
     d_head = d // heads
 
     q = x_q @ w.wq
     k = x_kv @ w.wk
     v = x_kv @ w.wv
     if mac is not None:
-        mac.add(t_q * d * d + 2 * t_kv * d * d)
+        rows = math.prod(lead)
+        mac.add(rows * (t_q * d * d + 2 * t_kv * d * d))
 
-    qh = q.reshape(t_q, heads, d_head).transpose(1, 0, 2)
-    kh = k.reshape(t_kv, heads, d_head).transpose(1, 0, 2)
-    vh = v.reshape(t_kv, heads, d_head).transpose(1, 0, 2)
+    qh = q.reshape(*lead, t_q, heads, d_head).swapaxes(-3, -2)
+    kh = k.reshape(*lead, t_kv, heads, d_head).swapaxes(-3, -2)
+    vh = v.reshape(*lead, t_kv, heads, d_head).swapaxes(-3, -2)
 
-    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(d_head)
+    scores = qh @ kh.swapaxes(-1, -2) / np.sqrt(d_head)
     if causal:
         np.copyto(scores, -np.inf, where=_causal_mask(t_q, t_kv))
     weights = softmax(scores)
     mixed = weights @ vh
-    if mac is not None:
-        mac.add(2 * t_q * t_kv * d)
 
-    merged = mixed.transpose(1, 0, 2).reshape(t_q, d)
+    merged = mixed.swapaxes(-3, -2).reshape(*lead, t_q, d)
     out = merged @ w.wo
     if mac is not None:
-        mac.add(t_q * d * d)
+        mac.add(rows * (2 * t_q * t_kv * d + t_q * d * d))
     return out
 
 
@@ -290,20 +295,20 @@ def block_residual(
         x = layer_norm(h, lw.ca.gamma)
         return _mha(x, cond, lw.ca, heads, causal=False, mac=mac)
     x = layer_norm(h, lw.ffn.gamma)
-    t, d = x.shape
     u = x @ lw.ffn.w1 + lw.ffn.b1
     out = gelu(u) @ lw.ffn.w2 + lw.ffn.b2
     if mac is not None:
-        mac.add(8 * t * d * d)
+        mac.add(8 * x.size * x.shape[-1])
     return out
 
 
 def encode_obs(denoiser: ToyDenoiser, obs: np.ndarray, mac: MacCounter | None = None) -> np.ndarray:
-    """Project the raw observation vector into cond_tokens conditioning tokens."""
+    """Project each raw observation vector into cond_tokens conditioning tokens."""
     cfg = denoiser.config
-    tokens = obs.reshape(cfg.cond_tokens, cfg.action_dim) @ denoiser.obs_proj
+    lead = obs.shape[:-1]
+    tokens = obs.reshape(*lead, cfg.cond_tokens, cfg.action_dim) @ denoiser.obs_proj
     if mac is not None:
-        mac.add(cfg.cond_tokens * cfg.action_dim * cfg.d_model)
+        mac.add(math.prod(lead) * cfg.cond_tokens * cfg.action_dim * cfg.d_model)
     return tokens
 
 
@@ -313,7 +318,7 @@ def embed_action(
     cfg = denoiser.config
     h = noisy_action @ denoiser.in_proj + denoiser.time_emb[t]
     if mac is not None:
-        mac.add(cfg.action_tokens * cfg.action_dim * cfg.d_model)
+        mac.add(noisy_action.size * cfg.d_model)
     return h
 
 
@@ -323,20 +328,39 @@ def project_action(
     cfg = denoiser.config
     out = h @ denoiser.out_proj
     if mac is not None:
-        mac.add(cfg.action_tokens * cfg.d_model * cfg.action_dim)
+        mac.add(h.size * cfg.action_dim)
     return out
 
 
-def _check_step_inputs(cfg: DenoiserConfig, noisy_action: np.ndarray, obs: np.ndarray, t: int):
-    if noisy_action.shape != (cfg.action_tokens, cfg.action_dim):
+def _step_inputs(cfg: DenoiserConfig, noisy_action, obs, t: int):
+    """A step's inputs as float64 arrays, validated, and their episode axis, () or (E,)."""
+    noisy_action = np.asarray(noisy_action, dtype=np.float64)
+    obs = np.asarray(obs, dtype=np.float64)
+    lead = noisy_action.shape[:-2]
+    if (len(lead) > 1 or 0 in lead or noisy_action.shape[-2:] != (cfg.action_tokens, cfg.action_dim)
+            or obs.shape != (*lead, cfg.obs_dim)):
         raise DimensionError(
-            f"noisy_action shape {noisy_action.shape} != "
-            f"({cfg.action_tokens}, {cfg.action_dim})"
-        )
-    if obs.shape != (cfg.obs_dim,):
-        raise DimensionError(f"obs shape {obs.shape} != ({cfg.obs_dim},)")
+            f"noisy_action shape {noisy_action.shape} and obs shape {obs.shape} != "
+            f"({cfg.action_tokens}, {cfg.action_dim}) and ({cfg.obs_dim},), each with an "
+            f"optional leading axis of E >= 1 episodes")
     if not 0 <= t < cfg.K:
         raise RangeError(f"step {t} outside [0, {cfg.K})")
+    return noisy_action, obs, lead
+
+
+def _step(denoiser: ToyDenoiser, blocks: list[BlockId], t: int, action: np.ndarray,
+          cond: np.ndarray, row: list[bool], served: list, out: np.ndarray,
+          mac: MacCounter | None, grab: list[bool] | None = None,
+          captured: dict | None = None) -> np.ndarray:
+    """One step: where ``row[i]`` block i recomputes into ``served[i]`` and ``out[i]``."""
+    h = embed_action(denoiser, action, t, mac)  # a fresh array, so += is safe
+    for i, block in enumerate(blocks):
+        if grab is not None and grab[i]:
+            captured[(block, t)] = h.copy()
+        if row[i]:
+            served[i] = out[i] = block_residual(denoiser, block, h, cond, mac)
+        h += served[i]
+    return project_action(denoiser, h, mac)
 
 
 def forward_step(
@@ -348,18 +372,13 @@ def forward_step(
 ) -> tuple[np.ndarray, dict[BlockId, np.ndarray]]:
     """One denoising step; returns the next action and per-block residuals."""
     cfg = denoiser.config
-    noisy_action = np.asarray(noisy_action, dtype=np.float64)
-    obs = np.asarray(obs, dtype=np.float64)
-    _check_step_inputs(cfg, noisy_action, obs, t)
-
+    noisy_action, obs, lead = _step_inputs(cfg, noisy_action, obs, t)
+    blocks = canonical_blocks(cfg.layers)
+    n = len(blocks)
+    out = np.empty((n, *lead, cfg.action_tokens, cfg.d_model))
     cond = encode_obs(denoiser, obs, mac)
-    h = embed_action(denoiser, noisy_action, t, mac)
-    residuals: dict[BlockId, np.ndarray] = {}
-    for block in canonical_blocks(cfg.layers):
-        r = block_residual(denoiser, block, h, cond, mac)
-        residuals[block] = r
-        h = h + r
-    return project_action(denoiser, h, mac), residuals
+    action = _step(denoiser, blocks, t, noisy_action, cond, [True] * n, [None] * n, out, mac)
+    return action, dict(zip(blocks, out))
 
 
 def execute(
@@ -379,11 +398,14 @@ def execute(
     cache starts cold).  The returned trace holds the residuals actually
     served.  ``capture`` optionally names (block, step) pairs whose pre-block
     hidden state should be recorded on the trace.
+
+    ``init_noise`` (E, T, a) and ``obs`` (E, obs_dim) run E episodes as one
+    batch under the shared mask; every result gains a leading episode axis.
+    ``obs`` is encoded once, but the MACs charge its encoding at every step,
+    as ``engine.flops_estimate`` does.
     """
     cfg = denoiser.config
-    action = np.asarray(init_noise, dtype=np.float64)
-    obs = np.asarray(obs, dtype=np.float64)
-    _check_step_inputs(cfg, action, obs, 0)
+    action, obs, lead = _step_inputs(cfg, init_noise, obs, 0)
 
     blocks = canonical_blocks(cfg.layers)
     update = np.asarray(update, dtype=bool)
@@ -393,45 +415,33 @@ def execute(
     if cold.size:
         raise PlanError(f"{blocks[cold[0]].name}: cold cache, step 0 must be an update")
 
-    residuals = np.empty((len(blocks), cfg.K, cfg.action_tokens, cfg.d_model))
-    actions = np.empty((cfg.K, cfg.action_tokens, cfg.action_dim))
+    residuals = np.empty((*lead, len(blocks), cfg.K, cfg.action_tokens, cfg.d_model))
+    actions = np.empty((*lead, cfg.K, cfg.action_tokens, cfg.action_dim))
+    by_step = np.moveaxis(residuals, 0, 2) if lead else residuals  # (3L, K, *lead, T, d)
     steps = update.T.tolist()  # steps[t][i]: plain bools, no numpy indexing per block
-    if capture is None:
-        grab = None
-    else:
-        wanted = set(capture)
-        grab = [[(b, t) in wanted for b in blocks] for t in range(cfg.K)]
+    wanted = set(capture or ())
+    grab = [[(b, t) in wanted for b in blocks] if wanted else None for t in range(cfg.K)]
     captured: dict[tuple[BlockId, int], np.ndarray] = {}
     served: list[np.ndarray | None] = [None] * len(blocks)  # each block's last served residual
 
+    cond = encode_obs(denoiser, obs, mac)
     for t, row in enumerate(steps):
-        cond = encode_obs(denoiser, obs, mac)
-        h = embed_action(denoiser, action, t, mac)  # a fresh array, so += is safe
-        for i, block in enumerate(blocks):
-            if grab is not None and grab[t][i]:
-                captured[(block, t)] = h.copy()
-            if row[i]:
-                served[i] = residuals[i, t] = block_residual(denoiser, block, h, cond, mac)
-            h += served[i]
-        action = project_action(denoiser, h, mac)
-        actions[t] = action
+        action = _step(denoiser, blocks, t, action, cond, row, served, by_step[:, t], mac,
+                       grab[t], captured)
+        actions[..., t, :, :] = action
 
     # a reused residual equals the one served at the last update: fill each
-    # span of reuse steps from it, and charge each reuse one T x d_model add
+    # span of reuse steps from it
     for i, row in enumerate(update):
         ups = np.flatnonzero(row).tolist()
         for start, end in zip(ups, ups[1:] + [cfg.K]):
             if end - start > 1:
-                residuals[i, start + 1:end] = residuals[i, start]
-    if mac is not None:
-        mac.add(cfg.action_tokens * cfg.d_model * int(update.size - np.count_nonzero(update)))
-
-    trace = FeatureTrace(
-        residuals=residuals,
-        actions=actions,
-        captured=captured if grab is not None else None,
-    )
-    return action, trace
+                by_step[i, start + 1:end] = by_step[i, start]
+    if mac is not None:  # one T x d_model add per reuse; the encoding, per step
+        reuses = int(update.size - np.count_nonzero(update))
+        mac.add(math.prod(lead) * (cfg.action_tokens * cfg.d_model * reuses
+                                   + (cfg.K - 1) * cfg.cond_tokens * cfg.action_dim * cfg.d_model))
+    return action, FeatureTrace(residuals, actions, captured if capture is not None else None)
 
 
 def denoise_full(
@@ -458,7 +468,3 @@ def synth_episode(config: DenoiserConfig, seed: int) -> tuple[np.ndarray, np.nda
     init = init.reshape(config.action_tokens, config.action_dim)
     obs = stream.normal(config.obs_dim)
     return init, obs
-
-
-def iter_blocks(config: DenoiserConfig) -> Iterable[BlockId]:
-    return canonical_blocks(config.layers)

@@ -32,7 +32,7 @@ import numpy as np
 from .blocks import BlockId, canonical_blocks
 from .config import DenoiserConfig
 from .denoiser import FeatureTrace, MacCounter, ToyDenoiser, denoise_full, execute
-from .errors import BudgetError, ConsistencyError, PlanError
+from .errors import BudgetError, ConsistencyError, DimensionError, PlanError
 from .bua import SchedulePlan
 from .scheduler import Schedule
 
@@ -150,6 +150,8 @@ def run_cached(
     run and outside the MAC counter.
     """
     cfg = denoiser.config
+    if np.ndim(init_noise) != 2:  # errors and the report are per episode
+        raise DimensionError(f"run_cached runs one episode; init_noise shape {np.shape(init_noise)}")
     if plan.layers != cfg.layers:
         raise PlanError(f"plan layers={plan.layers} != config layers={cfg.layers}")
     if plan.K != cfg.K:

@@ -298,3 +298,81 @@ def test_execute_matches_per_block_oracle(default_denoiser, default_config, exec
         assert list(trace.captured) == list(want_captured)
         for key, state in want_captured.items():
             assert np.array_equal(trace.captured[key], state)
+
+
+# -- a leading episode axis on execute ------------------------------------------
+
+
+def _episodes(config, seed, count):
+    runs = [synth_episode(config, derive_seed(seed, e)) for e in range(count)]
+    return np.stack([init for init, _ in runs]), np.stack([obs for _, obs in runs])
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1.0),
+    st.sets(st.tuples(st.integers(0, 5), st.integers(0, 11)), max_size=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_execute_equals_row_by_row(small_denoiser, E, seed, density, pairs):
+    cfg = small_denoiser.config
+    rng = np.random.default_rng(seed)
+    update = rng.random((3 * cfg.layers, cfg.K)) < density
+    update[:, 0] = True
+    capture = {(canonical_blocks(cfg.layers)[i], t) for i, t in pairs}
+    inits, obss = _episodes(cfg, seed, E)
+    mac = MacCounter()
+    action, trace = execute(small_denoiser, update, inits, obss, mac=mac, capture=capture)
+    assert trace.residuals.shape == (E, 3 * cfg.layers, cfg.K, cfg.action_tokens, cfg.d_model)
+    row_macs = 0
+    for e in range(E):
+        row_mac = MacCounter()
+        want, row = execute(small_denoiser, update, inits[e], obss[e], mac=row_mac, capture=capture)
+        row_macs += row_mac.count
+        assert np.array_equal(action[e], want)
+        assert np.array_equal(trace.residuals[e], row.residuals)
+        assert np.array_equal(trace.actions[e], row.actions)
+        assert list(trace.captured) == list(row.captured)
+        for key, state in row.captured.items():
+            assert np.array_equal(trace.captured[key][e], state)
+    assert mac.count == row_macs
+
+
+def test_batched_mac_total_is_sum_of_rows(default_denoiser, default_config):
+    update = np.zeros((3 * default_config.layers, default_config.K), dtype=bool)
+    update[:, ::10] = True
+    inits, obss = _episodes(default_config, 5, 3)
+    mac = MacCounter()
+    execute(default_denoiser, update, inits, obss, mac=mac)
+    rows = []
+    for e in range(3):
+        row = MacCounter()
+        execute(default_denoiser, update, inits[e], obss[e], mac=row)
+        rows.append(row.count)
+    assert rows[0] == rows[1] == rows[2]
+    assert mac.count == sum(rows)
+
+
+def _assert_rejected_before_any_block(denoiser, init, obs):
+    mac = MacCounter()
+    update = np.ones((3 * denoiser.config.layers, denoiser.config.K), dtype=bool)
+    with pytest.raises(DimensionError) as err:
+        execute(denoiser, update, init, obs, mac=mac)
+    assert str(init.shape) in str(err.value) and str(obs.shape) in str(err.value)
+    assert mac.count == 0
+
+
+def test_execute_rejects_obs_batch_of_other_length(small_denoiser, small_config):
+    inits, obss = _episodes(small_config, 3, 3)
+    _assert_rejected_before_any_block(small_denoiser, inits, obss[:2])
+
+
+def test_execute_rejects_four_dimensional_noise(small_denoiser, small_config):
+    inits, obss = _episodes(small_config, 3, 2)
+    _assert_rejected_before_any_block(small_denoiser, inits[None], obss[None])
+
+
+def test_execute_rejects_empty_batch(small_denoiser, small_config):
+    inits, obss = _episodes(small_config, 3, 1)
+    _assert_rejected_before_any_block(small_denoiser, inits[:0], obss[:0])

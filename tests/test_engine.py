@@ -12,7 +12,7 @@ from bac.engine import (
     run_cached,
     uniform_plan,
 )
-from bac.errors import BudgetError, ConsistencyError, PlanError
+from bac.errors import BudgetError, ConsistencyError, DimensionError, PlanError
 from bac.rng import derive_seed
 from bac.scheduler import Schedule
 
@@ -160,6 +160,15 @@ def test_plan_mismatch_errors(small_denoiser, small_config, small_episode):
                                   action_dim=3, K=small_config.K, seed=1)
     with pytest.raises(PlanError):
         run_cached(small_denoiser, full_plan(wrong_layers), init, obs)
+
+
+def test_run_cached_rejects_batched_episodes(small_denoiser, small_config, small_episode):
+    init, obs = small_episode
+    mac = MacCounter()
+    with pytest.raises(DimensionError, match=r"\(2, 4, 3\)"):
+        run_cached(small_denoiser, full_plan(small_config), np.stack([init, init]),
+                   np.stack([obs, obs]), mac=mac)
+    assert mac.count == 0
 
 
 # -- cost model --------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,14 @@ from hypothesis import strategies as st
 from bac.blocks import BlockId
 from bac.denoiser import build_denoiser, denoise_full, synth_episode
 from bac.errors import DegenerateFeatureError, DimensionError, RangeError
+from bac.fileio import dump_profile
 from bac.profiler import (
     caching_error_magnitude,
     consecutive_similarities,
     cosine,
     interval_similarity,
     profile_task,
+    similarity_matrices,
     similarity_matrix,
     BlockStats,
     SimilarityProfile,
@@ -228,3 +232,19 @@ def test_profile_average_within_per_episode_envelope(small_denoiser, small_confi
 def test_profile_requires_episode(small_denoiser):
     with pytest.raises(RangeError):
         profile_task(small_denoiser, episodes=0, seed=1)
+
+
+def test_readme_profile_bytes_pinned(default_denoiser):
+    # the README's `bac profile --episodes 3 --seed 42`, one batched pass
+    text = dump_profile(profile_task(default_denoiser, 3, 42))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8bf25f3761255d56ce2d86ff81db21ff3368e1b1c0d3700a0c498377fc69a2bc")
+
+
+def test_batched_similarity_matrices_equal_per_episode_mean(small_denoiser, small_config):
+    got = similarity_matrices(small_denoiser, 3, 8)
+    traces = [denoise_full(small_denoiser, *synth_episode(small_config, derive_seed(8, e)))[1]
+              for e in range(3)]
+    for block, m in got.items():
+        per_episode = [similarity_matrix(tr, block) for tr in traces]
+        assert np.array_equal(m, sum(per_episode[1:], per_episode[0]) / 3)
