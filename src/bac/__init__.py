@@ -1,9 +1,10 @@
 """Block-level feature-cache scheduling on a deterministic toy denoiser.
 
 Pipeline: profile per-block feature similarities across denoising steps,
-solve optimal per-block cache-update schedules by dynamic programming, repair
-inter-block error propagation by bubbling union, execute cached inference
-with update-then-reuse semantics, and verify the first-order error theory.
+select optimal per-block cache-update schedules (the anchored variant by
+dynamic programming), repair inter-block error propagation by bubbling union,
+execute cached inference with update-then-reuse semantics, and verify the
+first-order error theory.
 """
 
 from .blocks import KINDS, BlockId, canonical_blocks
@@ -56,10 +57,10 @@ from .profiler import (
     similarity_matrix,
 )
 from .scheduler import (
-    DpTables,
     Schedule,
     anchored_objective,
     brute_force_schedule,
+    brute_force_schedule_anchored,
     decomposition_objective,
     objective,
     solve_schedule,

@@ -19,10 +19,13 @@ from .errorlab import FfnParams, linear_response, ln_operators, verify_first_ord
 from .rng import derive_seed
 from .scheduler import (
     Schedule,
+    anchored_objective,
     brute_force_schedule,
+    brute_force_schedule_anchored,
     decomposition_objective,
     objective,
     solve_schedule,
+    solve_schedule_anchored,
 )
 
 Check = tuple[str, bool, str]
@@ -44,6 +47,21 @@ def check_dp_vs_brute_force(solver=_default_solver, cases: int = 60, seed: int =
         want = objective(brute_force_schedule(s, K, budget), s)
         worst = max(worst, abs(got - want))
     return ("dp-vs-brute-force", worst <= 1e-9, f"max_abs_gap={worst:.3e}")
+
+
+def check_anchored_dp_vs_brute_force(
+    solver=solve_schedule_anchored, cases: int = 40, seed: int = 2026
+) -> Check:
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(cases):
+        K = int(rng.integers(5, 13))
+        budget = int(rng.integers(1, min(7, K) + 1))
+        sim = rng.uniform(-1.0, 1.0, size=(K, K))
+        got = anchored_objective(solver(sim, budget), sim)
+        want = anchored_objective(brute_force_schedule_anchored(sim, budget), sim)
+        worst = max(worst, abs(got - want))
+    return ("anchored-dp-vs-brute-force", worst <= 1e-9, f"max_abs_gap={worst:.3e}")
 
 
 def check_decomposition_identity(solver=_default_solver, cases: int = 60, seed: int = 2025) -> Check:
@@ -190,6 +208,7 @@ def check_bit_exact_full_plan(seeds=(3, 11)) -> Check:
 def run_all(solver=_default_solver) -> list[Check]:
     return [
         check_dp_vs_brute_force(solver),
+        check_anchored_dp_vs_brute_force(),
         check_decomposition_identity(solver),
         check_linear_response_suite(),
         check_bubble_union_properties(),

@@ -12,14 +12,16 @@ from bac.errors import BudgetError, EnumerationSizeError, ScheduleError
 from bac.scheduler import (
     Schedule,
     _backtrack,
+    _best_endpoint,
     anchored_objective,
     brute_force_schedule,
+    brute_force_schedule_anchored,
     decomposition_objective,
     objective,
     solve_schedule,
     solve_schedule_anchored,
 )
-from bac.profiler import similarity_matrices
+from bac.profiler import profile_task, similarity_matrices
 
 HAND_S = [0.9, 0.1, 0.8, 0.2]
 
@@ -73,11 +75,9 @@ def test_objective_rejects_wrong_horizon():
 
 
 def test_solver_hand_instance():
-    sched, tables = solve_schedule(HAND_S, 5, 3)
+    sched, _ = solve_schedule(HAND_S, 5, 3)
     assert sched.steps == (0, 2, 4)
     assert objective(sched, HAND_S) == pytest.approx(1.7, abs=1e-12)
-    assert tables.endpoint == 4
-    assert tables.dp.shape == (3, 5) and tables.ptr.shape == (3, 5)
 
 
 def test_solver_budget_edges():
@@ -110,12 +110,67 @@ def test_solver_reports_its_own_objective():
         K = int(rng.integers(3, 30))
         budget = int(rng.integers(1, K + 1))
         s = rng.uniform(-1, 1, K - 1)
-        sched, tables = solve_schedule(s, K, budget)
-        prefix = np.concatenate([[0.0], np.cumsum(s)])
-        reported = tables.dp[budget - 1, tables.endpoint] + (
-            prefix[K - 1] - prefix[tables.endpoint]
-        )
-        assert objective(sched, s) == pytest.approx(reported, abs=1e-9)
+        sched, score = solve_schedule(s, K, budget)
+        assert score == objective(sched, s)
+
+
+def _dp_schedule(s, K, budget):
+    """Reference: the consecutive DP (kernels.dp_fill) with its endpoint and backtrack."""
+    prefix = np.concatenate([[0.0], np.cumsum(s)])
+    dp, ptr = kernels.dp_fill(prefix, budget - 1)
+    endpoint = _best_endpoint(dp[budget - 1] + (prefix[K - 1] - prefix), budget)
+    return _backtrack(ptr, endpoint, budget - 1, K)
+
+
+def _assert_selection_matches_dp(s, K):
+    for budget in range(1, K + 1):
+        assert solve_schedule(s, K, budget)[0] == _dp_schedule(s, K, budget), budget
+
+
+def test_selection_differs_from_dp_only_by_rounding():
+    # 0.1 + 0.2 is one ulp above 0.3, so the update belongs at step 2; the DP
+    # reference's rounded prefix sums choose step 1
+    assert solve_schedule([0.1 + 0.2, 0.3], 3, 2)[0].steps == (0, 2)
+    assert _dp_schedule([0.1 + 0.2, 0.3], 3, 2).steps == (0, 1)
+    # s_1 == s_3 exactly: selection keeps the earliest step, while the DP's
+    # rounded prefix sums break the tie towards step 3
+    s = [0.99999932, 0.999999583, 0.99999932]
+    assert solve_schedule(s, 4, 2)[0].steps == (0, 1)
+    assert _dp_schedule(s, 4, 2).steps == (0, 3)
+
+
+def test_selection_matches_dp_on_seeded_inputs():
+    rng = np.random.default_rng(19)
+    for case in range(200):
+        K = int(rng.integers(2, 40))
+        if case % 2:
+            s = rng.integers(-2, 3, K - 1).astype(float)  # integer values tie often
+        else:
+            s = rng.uniform(-1, 1, K - 1)
+        _assert_selection_matches_dp(s, K)
+
+
+def test_selection_matches_dp_on_readme_profile(default_denoiser):
+    profile = profile_task(default_denoiser, 3, 42)
+    for stats in profile.blocks.values():
+        _assert_selection_matches_dp(stats.s, profile.K)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: solve_schedule(s, 5, 3),
+        lambda s: objective(Schedule((0, 2), 5), s),
+        lambda s: brute_force_schedule(s, 5, 3),
+        lambda s: decomposition_objective(s, 5, 3),
+    ],
+    ids=["solve_schedule", "objective", "brute_force_schedule", "decomposition_objective"],
+)
+def test_non_finite_similarity_named(call, bad):
+    s = [0.9, 0.1, bad, np.nan]
+    with pytest.raises(ScheduleError, match=f"entry 2 is {bad}"):
+        call(s)
 
 
 def test_backtrack_rejects_chain_missing_step_zero():
@@ -134,12 +189,27 @@ def test_backtrack_rejects_chain_missing_step_zero():
 def test_brute_force_hand_instance():
     assert brute_force_schedule(HAND_S, 5, 3).steps == (0, 2, 4)
     assert brute_force_schedule(HAND_S, 5, 1).steps == (0,)
+    # every combination ties on constant values; the first one wins
+    assert brute_force_schedule(np.zeros(4), 5, 3).steps == (0, 1, 2)
+    assert brute_force_schedule_anchored(np.ones((5, 5)), 3).steps == (0, 1, 2)
 
 
 def test_brute_force_guard():
     s = np.zeros(60)
     with pytest.raises(EnumerationSizeError):
         brute_force_schedule(s, 61, 10)
+
+
+def test_brute_force_is_anchored_enumeration_on_tiled_matrix():
+    rng = np.random.default_rng(23)
+    for case in range(100):
+        K = int(rng.integers(2, 12))
+        budget = int(rng.integers(1, K + 1))
+        s = rng.integers(-2, 3, K - 1).astype(float) if case % 2 else rng.uniform(-1, 1, K - 1)
+        tiled = np.tile(np.concatenate([[0.0], s]), (K, 1))
+        sched = brute_force_schedule(s, K, budget)
+        assert sched == brute_force_schedule_anchored(tiled, budget)
+        assert objective(sched, s) == anchored_objective(sched, tiled)
 
 
 def test_decomposition_hand_values():
@@ -216,6 +286,9 @@ def test_anchored_matches_small_brute_force():
         )
         assert anchored_objective(got, sim) == pytest.approx(
             anchored_objective(best, sim), abs=1e-9
+        )
+        assert anchored_objective(brute_force_schedule_anchored(sim, budget), sim) == (
+            pytest.approx(anchored_objective(best, sim), abs=1e-9)
         )
 
 
