@@ -23,7 +23,7 @@ from .denoiser import (
     build_denoiser,
     denoise_full,
     execute,
-    forward_step,
+    pre_block_states,
     synth_episode,
     weight_checksum,
 )

@@ -46,6 +46,11 @@ def canonical_blocks(layers: int) -> list[BlockId]:
     return [BlockId(l, k) for l in range(layers) for k in KINDS]
 
 
+def block_at(ordinal: int) -> BlockId:
+    """The block with canonical ordinal ``ordinal``."""
+    return BlockId(ordinal // 3, KINDS[ordinal % 3])
+
+
 def parse_block_name(text: str, line: int | None = None) -> BlockId:
     """Parse ``layers.<l>.<SA|CA|FFN>``; raises FormatError otherwise."""
     parts = text.strip().split(".")

@@ -16,7 +16,7 @@ from .bua import SchedulePlan, added_steps, bubble_union, select_upstream_blocks
 from .config import load_config
 from .denoiser import build_denoiser, denoise_full, synth_episode
 from .engine import run_cached, uniform_plan
-from .errorlab import FfnParams, error_surge_experiment, verify_first_order
+from .errorlab import error_surge_experiment, random_ffn, verify_first_order
 from .errors import BacError, ConsistencyError
 from . import fileio
 from .profiler import profile_task, similarity_matrices
@@ -228,16 +228,9 @@ def _cmd_export(args) -> int:
         if args.dim < 1:
             raise BacError(f"--dim must be at least 1, got {args.dim}")
         rng = np.random.default_rng(args.seed)
-        d, d_ff = args.dim, 4 * args.dim
-        params = FfnParams(
-            w1=rng.normal(size=(d, d_ff)) / np.sqrt(d),
-            b1=rng.normal(size=d_ff) * 0.1,
-            w2=rng.normal(size=(d_ff, d)) / np.sqrt(d_ff),
-            b2=rng.normal(size=d) * 0.1,
-            gamma=rng.uniform(0.5, 1.5, size=d),
-        )
-        x = rng.normal(size=d)
-        delta = rng.normal(size=d)
+        params = random_ffn(rng, args.dim)
+        x = rng.normal(size=args.dim)
+        delta = rng.normal(size=args.dim)
         delta /= np.linalg.norm(delta)
         scales = [1e-2 / 2**i for i in range(6)]
         curve = verify_first_order(params, x, delta, scales)

@@ -26,6 +26,11 @@ point operations of their plain forms, so they change no bits.
 The kernels take leading batch axes (``*lead, T, d``; MACs are per row), so
 ``execute`` runs E episodes as one batch, saving numpy's per-call dispatch on
 these small tensors; each row equals its own run bit for bit.
+
+``execute`` is the one forward loop, and it returns only what it served: each
+block's residual at each step and each step's action.  The hidden state that
+entered a block is not recorded; ``pre_block_states`` rebuilds it from those
+residuals with the loop's own adds, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,14 +38,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import Collection
+from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import KINDS, BlockId, canonical_blocks
+from .blocks import BlockId, canonical_blocks
 from .config import DenoiserConfig
-from .errors import DimensionError, PlanError, RangeError
+from .errors import DimensionError, PlanError
 from .rng import SplitMix64
 
 LN_EPS = 1e-5
@@ -148,7 +152,6 @@ class FeatureTrace:
 
     residuals: np.ndarray  # (3L, K, T, d_model)
     actions: np.ndarray    # (K, T, action_dim)
-    captured: dict[tuple[BlockId, int], np.ndarray] | None = field(default=None)
 
     def block(self, block: BlockId) -> np.ndarray:
         return self.residuals[block.ordinal]
@@ -332,62 +335,12 @@ def project_action(
     return out
 
 
-def _step_inputs(cfg: DenoiserConfig, noisy_action, obs, t: int):
-    """A step's inputs as float64 arrays, validated, and their episode axis, () or (E,)."""
-    noisy_action = np.asarray(noisy_action, dtype=np.float64)
-    obs = np.asarray(obs, dtype=np.float64)
-    lead = noisy_action.shape[:-2]
-    if (len(lead) > 1 or 0 in lead or noisy_action.shape[-2:] != (cfg.action_tokens, cfg.action_dim)
-            or obs.shape != (*lead, cfg.obs_dim)):
-        raise DimensionError(
-            f"noisy_action shape {noisy_action.shape} and obs shape {obs.shape} != "
-            f"({cfg.action_tokens}, {cfg.action_dim}) and ({cfg.obs_dim},), each with an "
-            f"optional leading axis of E >= 1 episodes")
-    if not 0 <= t < cfg.K:
-        raise RangeError(f"step {t} outside [0, {cfg.K})")
-    return noisy_action, obs, lead
-
-
-def _step(denoiser: ToyDenoiser, blocks: list[BlockId], t: int, action: np.ndarray,
-          cond: np.ndarray, row: list[bool], served: list, out: np.ndarray,
-          mac: MacCounter | None, grab: list[bool] | None = None,
-          captured: dict | None = None) -> np.ndarray:
-    """One step: where ``row[i]`` block i recomputes into ``served[i]`` and ``out[i]``."""
-    h = embed_action(denoiser, action, t, mac)  # a fresh array, so += is safe
-    for i, block in enumerate(blocks):
-        if grab is not None and grab[i]:
-            captured[(block, t)] = h.copy()
-        if row[i]:
-            served[i] = out[i] = block_residual(denoiser, block, h, cond, mac)
-        h += served[i]
-    return project_action(denoiser, h, mac)
-
-
-def forward_step(
-    denoiser: ToyDenoiser,
-    noisy_action: np.ndarray,
-    obs: np.ndarray,
-    t: int,
-    mac: MacCounter | None = None,
-) -> tuple[np.ndarray, dict[BlockId, np.ndarray]]:
-    """One denoising step; returns the next action and per-block residuals."""
-    cfg = denoiser.config
-    noisy_action, obs, lead = _step_inputs(cfg, noisy_action, obs, t)
-    blocks = canonical_blocks(cfg.layers)
-    n = len(blocks)
-    out = np.empty((n, *lead, cfg.action_tokens, cfg.d_model))
-    cond = encode_obs(denoiser, obs, mac)
-    action = _step(denoiser, blocks, t, noisy_action, cond, [True] * n, [None] * n, out, mac)
-    return action, dict(zip(blocks, out))
-
-
 def execute(
     denoiser: ToyDenoiser,
     update: np.ndarray,
     init_noise: np.ndarray,
     obs: np.ndarray,
     mac: MacCounter | None = None,
-    capture: Collection[tuple[BlockId, int]] | None = None,
 ) -> tuple[np.ndarray, FeatureTrace]:
     """Run all K steps under update-then-reuse, feeding each output into the next step.
 
@@ -396,8 +349,8 @@ def execute(
     elsewhere it serves the residual it served at the previous step and is
     charged one T x d_model tensor add.  Step 0 must update every block (the
     cache starts cold).  The returned trace holds the residuals actually
-    served.  ``capture`` optionally names (block, step) pairs whose pre-block
-    hidden state should be recorded on the trace.
+    served; ``pre_block_states`` rebuilds from it the hidden state that
+    entered any block.
 
     ``init_noise`` (E, T, a) and ``obs`` (E, obs_dim) run E episodes as one
     batch under the shared mask; every result gains a leading episode axis.
@@ -405,7 +358,15 @@ def execute(
     as ``engine.flops_estimate`` does.
     """
     cfg = denoiser.config
-    action, obs, lead = _step_inputs(cfg, init_noise, obs, 0)
+    action = np.asarray(init_noise, dtype=np.float64)
+    obs = np.asarray(obs, dtype=np.float64)
+    lead = action.shape[:-2]  # () or (E,)
+    if (len(lead) > 1 or 0 in lead or action.shape[-2:] != (cfg.action_tokens, cfg.action_dim)
+            or obs.shape != (*lead, cfg.obs_dim)):
+        raise DimensionError(
+            f"init_noise shape {action.shape} and obs shape {obs.shape} != "
+            f"({cfg.action_tokens}, {cfg.action_dim}) and ({cfg.obs_dim},), each with an "
+            f"optional leading axis of E >= 1 episodes")
 
     blocks = canonical_blocks(cfg.layers)
     update = np.asarray(update, dtype=bool)
@@ -419,15 +380,17 @@ def execute(
     actions = np.empty((*lead, cfg.K, cfg.action_tokens, cfg.action_dim))
     by_step = np.moveaxis(residuals, 0, 2) if lead else residuals  # (3L, K, *lead, T, d)
     steps = update.T.tolist()  # steps[t][i]: plain bools, no numpy indexing per block
-    wanted = set(capture or ())
-    grab = [[(b, t) in wanted for b in blocks] if wanted else None for t in range(cfg.K)]
-    captured: dict[tuple[BlockId, int], np.ndarray] = {}
     served: list[np.ndarray | None] = [None] * len(blocks)  # each block's last served residual
 
     cond = encode_obs(denoiser, obs, mac)
     for t, row in enumerate(steps):
-        action = _step(denoiser, blocks, t, action, cond, row, served, by_step[:, t], mac,
-                       grab[t], captured)
+        out = by_step[:, t]
+        h = embed_action(denoiser, action, t, mac)  # a fresh array, so += is safe
+        for i, block in enumerate(blocks):
+            if row[i]:
+                served[i] = out[i] = block_residual(denoiser, block, h, cond, mac)
+            h += served[i]
+        action = project_action(denoiser, h, mac)
         actions[..., t, :, :] = action
 
     # a reused residual equals the one served at the last update: fill each
@@ -441,7 +404,24 @@ def execute(
         reuses = int(update.size - np.count_nonzero(update))
         mac.add(math.prod(lead) * (cfg.action_tokens * cfg.d_model * reuses
                                    + (cfg.K - 1) * cfg.cond_tokens * cfg.action_dim * cfg.d_model))
-    return action, FeatureTrace(residuals, actions, captured if capture is not None else None)
+    return action, FeatureTrace(residuals, actions)
+
+
+def pre_block_states(
+    denoiser: ToyDenoiser, trace: FeatureTrace, init_noise: np.ndarray, block: BlockId
+) -> np.ndarray:
+    """The hidden state that entered ``block`` at every step of the run behind ``trace``.
+
+    Repeats ``execute``'s adds in their order: the embedding of the previous
+    action (``init_noise`` at step 0), then each served residual of the blocks
+    before ``block``.  So it equals what the loop fed the block, bit for bit.
+    Shape (K, T, d_model), with the trace's leading episode axis if it has one.
+    """
+    prev = [np.asarray(init_noise, dtype=np.float64), *np.moveaxis(trace.actions, -3, 0)[:-1]]
+    h = np.stack([embed_action(denoiser, a, t) for t, a in enumerate(prev)], axis=-3)
+    for i in range(block.ordinal):
+        h += trace.residuals[..., i, :, :, :]
+    return h
 
 
 def denoise_full(
@@ -449,12 +429,11 @@ def denoise_full(
     init_noise: np.ndarray,
     obs: np.ndarray,
     mac: MacCounter | None = None,
-    capture: Collection[tuple[BlockId, int]] | None = None,
 ) -> tuple[np.ndarray, FeatureTrace]:
     """Full-precision run: ``execute`` with every block updating at every step."""
     cfg = denoiser.config
     update = np.ones((3 * cfg.layers, cfg.K), dtype=bool)
-    return execute(denoiser, update, init_noise, obs, mac, capture)
+    return execute(denoiser, update, init_noise, obs, mac)
 
 
 def synth_episode(config: DenoiserConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:

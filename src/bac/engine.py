@@ -58,7 +58,6 @@ class RunReport:
     provenance: np.ndarray    # (3L, K) source step of the feature served at t
     final_action_l2: float    # rms deviation of the final action
     flops: FlopsBreakdown
-    captured: dict[tuple[BlockId, int], np.ndarray] | None = None
 
     def block_mean_errors(self, layers: int) -> dict[BlockId, float]:
         return {
@@ -141,7 +140,6 @@ def run_cached(
     obs: np.ndarray,
     reference: FeatureTrace | None = None,
     mac: MacCounter | None = None,
-    capture: set[tuple[BlockId, int]] | None = None,
 ) -> tuple[np.ndarray, RunReport]:
     """Execute the plan and report errors against the full-precision run.
 
@@ -160,7 +158,7 @@ def run_cached(
     for block in canonical_blocks(cfg.layers):
         update[block.ordinal, list(plan.schedule(block).steps)] = True
 
-    action, served = execute(denoiser, update, init_noise, obs, mac=mac, capture=capture)
+    action, served = execute(denoiser, update, init_noise, obs, mac=mac)
     if reference is None:
         _, reference = denoise_full(denoiser, init_noise, obs)
 
@@ -176,6 +174,5 @@ def run_cached(
         provenance=provenance,
         final_action_l2=final_dev,
         flops=flops_estimate(cfg, plan),
-        captured=served.captured,
     )
     return action, report

@@ -27,20 +27,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .blocks import BlockId, canonical_blocks
+from .blocks import BlockId
 from .denoiser import (
     ToyDenoiser,
     block_residual,
     denoise_full,
+    execute,
     gelu,
     gelu_prime,
+    pre_block_states,
     synth_episode,
 )
-from .engine import run_cached
-from .bua import SchedulePlan
 from .errors import CorrelationError, DegenerateFeatureError, DimensionError
 from .rng import derive_seed
-from .scheduler import Schedule
 
 SIGMA_MIN = 1e-6
 
@@ -72,6 +71,18 @@ class FfnParams:
     @property
     def act(self):
         return _ACTIVATIONS[self.activation]
+
+
+def random_ffn(rng: np.random.Generator, d: int) -> FfnParams:
+    """A random GELU FFN with d_ff = 4d, drawn from ``rng`` as w1, b1, w2, b2, gamma."""
+    d_ff = 4 * d
+    return FfnParams(
+        w1=rng.normal(size=(d, d_ff)) / np.sqrt(d),
+        b1=rng.normal(size=d_ff) * 0.1,
+        w2=rng.normal(size=(d_ff, d)) / np.sqrt(d_ff),
+        b2=rng.normal(size=d) * 0.1,
+        gamma=rng.uniform(0.5, 1.5, size=d),
+    )
 
 
 @dataclass(frozen=True)
@@ -200,19 +211,6 @@ class SurgeStats:
     upstream_staleness: np.ndarray  # (seeds, K) output error of the frozen block
 
 
-def _frozen_plan(denoiser: ToyDenoiser, upstream: BlockId) -> SchedulePlan:
-    cfg = denoiser.config
-    full = Schedule(tuple(range(cfg.K)), cfg.K)
-    frozen = Schedule((0,), cfg.K)
-    return SchedulePlan(
-        layers=cfg.layers,
-        schedules={
-            b: frozen if b == upstream else full
-            for b in canonical_blocks(cfg.layers)
-        },
-    )
-
-
 def error_surge_experiment(
     denoiser: ToyDenoiser,
     seeds: Sequence[int],
@@ -232,6 +230,10 @@ def error_surge_experiment(
     at one fixed step on x_ref + beta * (x_bad - x_ref), scaling the same raw
     deviation.  The frozen block's own output staleness is reported as a
     secondary series.
+
+    Both runs go through ``execute``; the errors are the L2 distances of the
+    served residuals to the reference, as in ``engine.run_cached``, and the
+    downstream inputs come from ``pre_block_states`` of each run's trace.
     """
     cfg = denoiser.config
     if upstream is None:
@@ -243,7 +245,9 @@ def error_surge_experiment(
     if beta_step is None:
         beta_step = cfg.K // 2
 
-    plan = _frozen_plan(denoiser, upstream)
+    frozen = np.ones((3 * cfg.layers, cfg.K), dtype=bool)
+    frozen[upstream.ordinal, 1:] = False  # the upstream block keeps its step-0 cache
+    rows = [upstream.ordinal, downstream.ordinal]
     betas = np.asarray(list(betas), dtype=np.float64)
     n_seeds = len(list(seeds))
     up_err = np.empty((n_seeds, cfg.K))
@@ -251,25 +255,19 @@ def error_surge_experiment(
     down_err = np.empty((n_seeds, cfg.K))
     beta_errors = np.empty((n_seeds, len(betas)))
     per_seed_r = np.empty(n_seeds)
-    want = {(downstream, t) for t in range(cfg.K)}
 
     for si, seed in enumerate(seeds):
         init, obs = synth_episode(cfg, derive_seed(seed, 0))
-        _, ref_trace = denoise_full(denoiser, init, obs, capture=want)
-        _, report = run_cached(
-            denoiser, plan, init, obs, reference=ref_trace, capture=want
-        )
-        up_err[si] = [
-            np.linalg.norm(report.captured[(downstream, t)] - ref_trace.captured[(downstream, t)])
-            for t in range(cfg.K)
-        ]
-        staleness[si] = report.errors[upstream.ordinal]
-        down_err[si] = report.errors[downstream.ordinal]
+        _, ref = denoise_full(denoiser, init, obs)
+        _, run = execute(denoiser, frozen, init, obs)
+        diff = run.residuals[rows] - ref.residuals[rows]
+        staleness[si], down_err[si] = np.sqrt(np.einsum("btij,btij->bt", diff, diff))
+        x_ref = pre_block_states(denoiser, ref, init, downstream)
+        deviations = pre_block_states(denoiser, run, init, downstream) - x_ref  # x_bad - x_ref
+        up_err[si] = [np.linalg.norm(d) for d in deviations]
         per_seed_r[si] = pearson(up_err[si, 1:], down_err[si, 1:])
 
-        x_ref = ref_trace.captured[(downstream, beta_step)]
-        x_bad = report.captured[(downstream, beta_step)]
-        deviation = x_bad - x_ref
+        x_ref, deviation = x_ref[beta_step], deviations[beta_step]
         cond = np.zeros((cfg.cond_tokens, cfg.d_model))  # unused by FFN blocks
         base = block_residual(denoiser, downstream, x_ref, cond)
         for bi, beta in enumerate(betas):

@@ -15,9 +15,11 @@ report:    flat key=value lines.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .blocks import BlockId, canonical_blocks, parse_block_name
+from .blocks import BlockId, block_at, canonical_blocks, parse_block_name
 from .bua import SchedulePlan
 from .engine import RunReport
 from .errors import ConsistencyError, FormatError
@@ -68,10 +70,9 @@ def parse_profile(text: str) -> SimilarityProfile:
     if K < 2 or n_blocks < 3 or n_blocks % 3 != 0:
         raise FormatError("header values out of range", 2)
 
-    expected = canonical_blocks(n_blocks // 3)
     blocks: dict[BlockId, BlockStats] = {}
     idx = 3
-    for block in expected:
+    for block in map(block_at, range(n_blocks)):  # lazily: BLOCKS may exceed the file
         header = expect(idx).strip()
         if header != f"BLOCK {block.name}":
             raise FormatError(
@@ -127,14 +128,9 @@ def dump_plan(plan: SchedulePlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_plan(text: str, K: int | None = None) -> SchedulePlan:
-    """Parse a schedule file; checks ascending order, 0-present, range.
-
-    When K is not given the horizon is max step + 1 (sufficient for format
-    checks; callers holding a config or profile pass the real K).
-    """
+def parse_plan(text: str, K: int) -> SchedulePlan:
+    """Parse a schedule file of horizon K; checks ascending order, 0-present, range."""
     entries: dict[BlockId, tuple[int, ...]] = {}
-    max_step = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -153,21 +149,22 @@ def parse_plan(text: str, K: int | None = None) -> SchedulePlan:
             raise FormatError(f"{block.name}: schedule must start at 0", lineno)
         if any(b <= a for a, b in zip(steps, steps[1:])):
             raise FormatError(f"{block.name}: steps must be ascending", lineno)
-        if steps[-1] < 0 or (K is not None and steps[-1] >= K):
+        if steps[-1] >= K:
             raise FormatError(f"{block.name}: step {steps[-1]} out of range", lineno)
         entries[block] = steps
-        max_step = max(max_step, steps[-1])
 
     if not entries:
         raise FormatError("empty schedule file", 1)
     layers = max(b.layer for b in entries) + 1
-    expected = canonical_blocks(layers)
-    missing = [b.name for b in expected if b not in entries]
-    if missing:
-        raise FormatError(f"missing blocks: {', '.join(missing)}")
-    horizon = K if K is not None else max_step + 1
+    # the entries are distinct blocks below `layers`, so too few means gaps;
+    # name the first ones lazily, as `layers` may be far larger than the file
+    absent = 3 * layers - len(entries)
+    if absent:
+        missing = (b.name for b in map(block_at, range(3 * layers)) if b not in entries)
+        shown = ", ".join(itertools.islice(missing, 10))
+        raise FormatError(f"missing blocks: {shown}{', ...' if absent > 10 else ''}")
     try:
-        schedules = {b: Schedule(steps, horizon) for b, steps in entries.items()}
+        schedules = {b: Schedule(steps, K) for b, steps in entries.items()}
     except ScheduleError as exc:
         raise FormatError(str(exc)) from None
     return SchedulePlan(layers=layers, schedules=schedules)
@@ -178,7 +175,7 @@ def write_plan(plan: SchedulePlan, path: str) -> None:
         fh.write(dump_plan(plan))
 
 
-def read_plan(path: str, K: int | None = None) -> SchedulePlan:
+def read_plan(path: str, K: int) -> SchedulePlan:
     with open(path, encoding="utf-8") as fh:
         return parse_plan(fh.read(), K=K)
 

@@ -15,7 +15,7 @@ from .bua import SchedulePlan, bubble_union, downstream_ffns
 from .config import DenoiserConfig
 from .denoiser import build_denoiser, denoise_full, synth_episode
 from .engine import run_cached
-from .errorlab import FfnParams, linear_response, ln_operators, verify_first_order
+from .errorlab import FfnParams, linear_response, ln_operators, random_ffn, verify_first_order
 from .rng import derive_seed
 from .scheduler import (
     Schedule,
@@ -79,19 +79,13 @@ def check_decomposition_identity(solver=_default_solver, cases: int = 60, seed: 
 
 def check_linear_response_suite(seed: int = 77) -> Check:
     rng = np.random.default_rng(seed)
-    d, d_ff = 32, 128
+    d = 32
     ok = True
     details = []
 
     ratios = []
     for _ in range(12):
-        params = FfnParams(
-            w1=rng.normal(size=(d, d_ff)) / np.sqrt(d),
-            b1=rng.normal(size=d_ff) * 0.1,
-            w2=rng.normal(size=(d_ff, d)) / np.sqrt(d_ff),
-            b2=rng.normal(size=d) * 0.1,
-            gamma=rng.uniform(0.5, 1.5, size=d),
-        )
+        params = random_ffn(rng, d)
         x = rng.normal(size=d)
         delta = rng.normal(size=d)
         delta /= np.linalg.norm(delta)

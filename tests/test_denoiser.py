@@ -18,16 +18,16 @@ from bac.denoiser import (
     embed_action,
     encode_obs,
     execute,
-    forward_step,
     gelu,
     gelu_prime,
     layer_norm,
+    pre_block_states,
     project_action,
     synth_episode,
     weight_checksum,
 )
 from bac.engine import uniform_plan
-from bac.errors import ConfigError, DimensionError, RangeError
+from bac.errors import ConfigError, DimensionError
 from bac.profiler import profile_task
 from bac.rng import derive_seed
 from bac.scheduler import solve_schedule
@@ -55,35 +55,17 @@ def test_zero_output_projection_gives_zero_action(small_denoiser, small_episode)
         small_denoiser, out_proj=np.zeros_like(small_denoiser.out_proj)
     )
     init, obs = small_episode
-    action, _ = forward_step(zeroed, init, obs, t=0)
+    action, trace = denoise_full(zeroed, init, obs)
     assert np.all(action == 0.0)
+    assert np.all(trace.actions == 0.0)
 
 
-def test_forward_step_pure(small_denoiser, small_episode):
-    init, obs = small_episode
-    a1, r1 = forward_step(small_denoiser, init, obs, t=3)
-    a2, r2 = forward_step(small_denoiser, init, obs, t=3)
-    assert np.array_equal(a1, a2)
-    for block in r1:
-        assert np.array_equal(r1[block], r2[block])
-
-
-def test_forward_step_finite_and_bounded(default_denoiser, default_config):
+def test_denoise_full_finite_and_bounded(default_denoiser, default_config):
     init, obs = synth_episode(default_config, derive_seed(7, 0))
-    action, residuals = forward_step(default_denoiser, init, obs, t=0)
-    assert np.all(np.isfinite(action))
+    action, trace = denoise_full(default_denoiser, init, obs)
+    assert np.all(np.isfinite(trace.actions)) and np.all(np.isfinite(trace.residuals))
     assert np.abs(action).max() < 1e3
-    assert len(residuals) == 3 * default_config.layers
-
-
-def test_forward_step_shape_and_range_errors(small_denoiser, small_episode):
-    init, obs = small_episode
-    with pytest.raises(DimensionError):
-        forward_step(small_denoiser, init[:, :-1], obs, t=0)
-    with pytest.raises(DimensionError):
-        forward_step(small_denoiser, init, obs[:-1], t=0)
-    with pytest.raises(RangeError):
-        forward_step(small_denoiser, init, obs, t=small_denoiser.config.K)
+    assert len(trace.residuals) == 3 * default_config.layers
 
 
 def test_trace_shape_counts_all_blocks():
@@ -94,17 +76,6 @@ def test_trace_shape_counts_all_blocks():
     _, trace = denoise_full(den, init, obs)
     assert trace.residuals.shape == (6, 2, 3, 8)  # 2 steps x 3 blocks x 2 layers
     assert trace.actions.shape == (2, 3, 2)
-
-
-def test_trace_matches_independent_replay(small_denoiser, small_episode, small_trace):
-    init, obs = small_episode
-    _, trace = small_trace
-    for t in (0, 5, 11):
-        state = init if t == 0 else trace.actions[t - 1]
-        action, residuals = forward_step(small_denoiser, state, obs, t)
-        assert np.array_equal(action, trace.actions[t])
-        for block, res in residuals.items():
-            assert np.array_equal(res, trace.residuals[block.ordinal, t])
 
 
 def test_denoise_full_repeatable(default_denoiser, default_config):
@@ -120,13 +91,13 @@ def test_residual_chain_consistency(small_denoiser, small_episode):
     init, obs = small_episode
     cfg = small_denoiser.config
     t = 4
-    want = {(b, t) for b in canonical_blocks(cfg.layers)}
-    _, trace = denoise_full(small_denoiser, init, obs, capture=want)
+    _, trace = denoise_full(small_denoiser, init, obs)
     for layer in range(cfg.layers - 1):
-        h = trace.captured[(BlockId(layer, "SA"), t)]
+        h = pre_block_states(small_denoiser, trace, init, BlockId(layer, "SA"))[t]
         for kind in ("SA", "CA", "FFN"):
             h = h + trace.residuals[BlockId(layer, kind).ordinal, t]
-        assert np.array_equal(h, trace.captured[(BlockId(layer + 1, "SA"), t)])
+        nxt = pre_block_states(small_denoiser, trace, init, BlockId(layer + 1, "SA"))[t]
+        assert np.array_equal(h, nxt)
 
 
 def test_gelu_derivative_matches_finite_differences():
@@ -157,12 +128,12 @@ def test_gelu_prime_matches_central_difference_on_ffn_preactivations(
     default_denoiser, default_config
 ):
     init, obs = synth_episode(default_config, derive_seed(7, 2))
-    want = {(BlockId(layer, "FFN"), t) for layer in (0, 7) for t in (0, 50, 99)}
-    _, trace = denoise_full(default_denoiser, init, obs, capture=want)
+    _, trace = denoise_full(default_denoiser, init, obs)
+    ffns = [default_denoiser.layers[layer].ffn for layer in (0, 7)]
     u = np.concatenate([
-        layer_norm(h, default_denoiser.layers[b.layer].ffn.gamma)
-        @ default_denoiser.layers[b.layer].ffn.w1 + default_denoiser.layers[b.layer].ffn.b1
-        for (b, _), h in trace.captured.items()
+        layer_norm(pre_block_states(default_denoiser, trace, init, BlockId(layer, "FFN"))[t],
+                   ffn.gamma) @ ffn.w1 + ffn.b1
+        for layer, ffn in zip((0, 7), ffns) for t in (0, 50, 99)
     ])
     step = 1e-5
     fd = (gelu(u + step) - gelu(u - step)) / (2 * step)
@@ -222,7 +193,9 @@ def _execute_loop(denoiser, update, init_noise, obs, mac=None, capture=None):
     per (block, step), charging each reuse as it happens.
 
     It calls the same block, embedding and projection functions, so its
-    results must equal ``execute``'s bit for bit.
+    results must equal ``execute``'s bit for bit.  It also records the hidden
+    state entering each (block, step) named in ``capture``, which
+    ``pre_block_states`` must reproduce from the served trace.
     """
     cfg = denoiser.config
     action = np.asarray(init_noise, dtype=np.float64)
@@ -268,8 +241,7 @@ def execute_cases(default_denoiser, default_config):
     step0 = np.zeros((n, K), dtype=bool)
     step0[:, 0] = True
     uniform = mask_of(uniform_plan(K, 10, cfg.layers))
-    capture = {(b, t) for b in canonical_blocks(cfg.layers)[::5] for t in (0, 1, 9, 10, 55, 99)}
-    capture |= {(BlockId(cfg.layers, "SA"), 3), (BlockId(0, "FFN"), K)}  # never reached
+    capture = {(b, t) for b in canonical_blocks(cfg.layers) for t in range(K)}
     return {
         "full": (np.ones((n, K), dtype=bool), None),
         "uniform10": (uniform, None),
@@ -285,19 +257,19 @@ def test_execute_matches_per_block_oracle(default_denoiser, default_config, exec
     update, capture = execute_cases[case]
     init, obs = synth_episode(default_config, derive_seed(7, 3))
     mac, oracle_mac = MacCounter(), MacCounter()
-    action, trace = execute(default_denoiser, update, init, obs, mac=mac, capture=capture)
+    action, trace = execute(default_denoiser, update, init, obs, mac=mac)
     want_action, want_residuals, want_actions, want_captured = _execute_loop(
         default_denoiser, update, init, obs, mac=oracle_mac, capture=capture)
     assert np.array_equal(action, want_action)
     assert np.array_equal(trace.residuals, want_residuals)
     assert np.array_equal(trace.actions, want_actions)
     assert mac.count == oracle_mac.count
-    if capture is None:
-        assert trace.captured is None
-    else:
-        assert list(trace.captured) == list(want_captured)
-        for key, state in want_captured.items():
-            assert np.array_equal(trace.captured[key], state)
+    if capture is not None:
+        assert len(want_captured) == len(capture)
+        for block in canonical_blocks(default_config.layers):
+            states = pre_block_states(default_denoiser, trace, init, block)
+            for t, state in enumerate(states):
+                assert np.array_equal(state, want_captured[(block, t)])
 
 
 # -- a leading episode axis on execute ------------------------------------------
@@ -312,30 +284,30 @@ def _episodes(config, seed, count):
     st.integers(1, 6),
     st.integers(0, 2**32 - 1),
     st.floats(0.0, 1.0),
-    st.sets(st.tuples(st.integers(0, 5), st.integers(0, 11)), max_size=8),
 )
 @settings(max_examples=40, deadline=None)
-def test_batched_execute_equals_row_by_row(small_denoiser, E, seed, density, pairs):
+def test_batched_execute_equals_row_by_row(small_denoiser, E, seed, density):
     cfg = small_denoiser.config
+    blocks = canonical_blocks(cfg.layers)
     rng = np.random.default_rng(seed)
     update = rng.random((3 * cfg.layers, cfg.K)) < density
     update[:, 0] = True
-    capture = {(canonical_blocks(cfg.layers)[i], t) for i, t in pairs}
     inits, obss = _episodes(cfg, seed, E)
     mac = MacCounter()
-    action, trace = execute(small_denoiser, update, inits, obss, mac=mac, capture=capture)
+    action, trace = execute(small_denoiser, update, inits, obss, mac=mac)
     assert trace.residuals.shape == (E, 3 * cfg.layers, cfg.K, cfg.action_tokens, cfg.d_model)
+    states = [pre_block_states(small_denoiser, trace, inits, b) for b in blocks]
+    assert states[0].shape == (E, cfg.K, cfg.action_tokens, cfg.d_model)
     row_macs = 0
     for e in range(E):
         row_mac = MacCounter()
-        want, row = execute(small_denoiser, update, inits[e], obss[e], mac=row_mac, capture=capture)
+        want, row = execute(small_denoiser, update, inits[e], obss[e], mac=row_mac)
         row_macs += row_mac.count
         assert np.array_equal(action[e], want)
         assert np.array_equal(trace.residuals[e], row.residuals)
         assert np.array_equal(trace.actions[e], row.actions)
-        assert list(trace.captured) == list(row.captured)
-        for key, state in row.captured.items():
-            assert np.array_equal(trace.captured[key][e], state)
+        for block, state in zip(blocks, states):
+            assert np.array_equal(state[e], pre_block_states(small_denoiser, row, inits[e], block))
     assert mac.count == row_macs
 
 
@@ -376,3 +348,9 @@ def test_execute_rejects_four_dimensional_noise(small_denoiser, small_config):
 def test_execute_rejects_empty_batch(small_denoiser, small_config):
     inits, obss = _episodes(small_config, 3, 1)
     _assert_rejected_before_any_block(small_denoiser, inits[:0], obss[:0])
+
+
+def test_execute_rejects_unbatched_bad_shapes(small_denoiser, small_episode):
+    init, obs = small_episode
+    _assert_rejected_before_any_block(small_denoiser, init[:, :-1], obs)
+    _assert_rejected_before_any_block(small_denoiser, init, obs[:-1])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from bac.blocks import BlockId
-from bac.denoiser import build_denoiser
+from bac.blocks import BlockId, canonical_blocks
+from bac.bua import SchedulePlan
+from bac.denoiser import build_denoiser, denoise_full, synth_episode
 from bac.config import DenoiserConfig
+from bac.engine import run_cached
 from bac.errorlab import (
     FfnParams,
     error_surge_experiment,
@@ -12,19 +14,29 @@ from bac.errorlab import (
     ln_eps_free,
     ln_operators,
     pearson,
+    random_ffn,
     verify_first_order,
 )
 from bac.errors import CorrelationError, DegenerateFeatureError, DimensionError
+from bac.rng import derive_seed
+from bac.scheduler import Schedule
 
 
-def random_params(rng, d=8, d_ff=32, activation="gelu"):
-    return FfnParams(
+def test_random_ffn_draw_order():
+    """``bac export --what remainder`` and ``bac verify`` depend on this order."""
+    rng = np.random.default_rng(3)
+    d, d_ff = 5, 20
+    want = FfnParams(
         w1=rng.normal(size=(d, d_ff)) / np.sqrt(d),
         b1=rng.normal(size=d_ff) * 0.1,
         w2=rng.normal(size=(d_ff, d)) / np.sqrt(d_ff),
         b2=rng.normal(size=d) * 0.1,
         gamma=rng.uniform(0.5, 1.5, size=d),
     )
+    got = random_ffn(np.random.default_rng(3), d)
+    for name in ("w1", "b1", "w2", "b2", "gamma"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.activation == "gelu"
 
 
 def fd_jacobian(x, gamma, h=1e-5):
@@ -87,7 +99,7 @@ def test_ln_stats_population_convention():
 
 def test_zero_delta_maps_to_zero():
     rng = np.random.default_rng(1)
-    params = random_params(rng)
+    params = random_ffn(rng, 8)
     x = rng.normal(size=8)
     assert np.all(linear_response(params, x, np.zeros(8)) == 0.0)
 
@@ -109,7 +121,7 @@ def test_two_point_null_response():
 
 def test_response_linear_in_delta():
     rng = np.random.default_rng(3)
-    params = random_params(rng)
+    params = random_ffn(rng, 8)
     x = rng.normal(size=8)
     delta = rng.normal(size=8)
     f1 = linear_response(params, x, delta)
@@ -132,7 +144,7 @@ def test_remainder_shrinks_quadratically():
     rng = np.random.default_rng(4)
     ratios = []
     for _ in range(20):
-        params = random_params(rng, d=16, d_ff=64)
+        params = random_ffn(rng, 16)
         x = rng.normal(size=16)
         delta = rng.normal(size=16)
         delta /= np.linalg.norm(delta)
@@ -146,7 +158,7 @@ def test_remainder_quadratic_with_identity_activation():
     rng = np.random.default_rng(5)
     ratios = []
     for _ in range(20):
-        p = random_params(rng, d=16, d_ff=64)
+        p = random_ffn(rng, 16)
         params = FfnParams(p.w1, p.b1, p.w2, p.b2, p.gamma, activation="identity")
         x = rng.normal(size=16)
         delta = rng.normal(size=16)
@@ -181,7 +193,7 @@ def test_two_point_case_is_locally_constant():
 
 def test_verify_first_order_preconditions():
     rng = np.random.default_rng(7)
-    params = random_params(rng)
+    params = random_ffn(rng, 8)
     x = rng.normal(size=8)
     delta = rng.normal(size=8)
     delta /= np.linalg.norm(delta)
@@ -224,6 +236,21 @@ def test_surge_beta_increasing_for_small_beta(surge_stats):
 def test_surge_correlation_positive(surge_stats):
     assert surge_stats.pooled_r > 0.5
     assert np.all(surge_stats.per_seed_r > 0.5)
+
+
+def test_surge_errors_equal_run_cached_errors():
+    """The surge's error rows are ``run_cached``'s, under the frozen-upstream plan."""
+    cfg = DenoiserConfig(layers=4, d_model=32, heads=4, K=40)
+    den = build_denoiser(cfg)
+    stats = error_surge_experiment(den, seeds=[1])
+    frozen = Schedule((0,), cfg.K)
+    full = Schedule(tuple(range(cfg.K)), cfg.K)
+    plan = SchedulePlan(layers=cfg.layers, schedules={
+        b: frozen if b == stats.upstream else full for b in canonical_blocks(cfg.layers)})
+    init, obs = synth_episode(cfg, derive_seed(1, 0))
+    _, report = run_cached(den, plan, init, obs, reference=denoise_full(den, init, obs)[1])
+    assert np.array_equal(stats.upstream_staleness[0], report.errors[stats.upstream.ordinal])
+    assert np.array_equal(stats.downstream_errors[0], report.errors[stats.downstream.ordinal])
 
 
 def test_surge_defaults_pick_last_two_ffns(surge_stats):

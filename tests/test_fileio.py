@@ -1,16 +1,20 @@
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bac import fileio
 
 DATA = Path(__file__).parent / "data"
-from bac.blocks import BlockId, canonical_blocks
+from bac.blocks import KINDS, BlockId, canonical_blocks
 from bac.bua import SchedulePlan
 from bac.engine import run_cached, uniform_plan
-from bac.errors import ConsistencyError, FormatError
-from bac.profiler import profile_task
+from bac.errors import BacError, ConsistencyError, FormatError
+from bac.profiler import BlockStats, SimilarityProfile, profile_task
 from bac.scheduler import Schedule
 
 
@@ -155,6 +159,127 @@ def test_plan_missing_block_rejected():
     del lines[3]
     with pytest.raises(FormatError, match="missing blocks"):
         fileio.parse_plan("\n".join(lines) + "\n", K=12)
+
+
+# -- properties: round trips and malformed text --------------------------------------
+
+
+@st.composite
+def plans(draw):
+    layers, K = draw(st.integers(1, 4)), draw(st.integers(1, 30))
+    schedules = {}
+    for block in canonical_blocks(layers):
+        on = draw(st.lists(st.booleans(), min_size=K - 1, max_size=K - 1))
+        schedules[block] = Schedule((0, *(t for t, u in enumerate(on, 1) if u)), K)
+    return SchedulePlan(layers=layers, schedules=schedules)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def profiles(draw):
+    layers, K = draw(st.integers(1, 3)), draw(st.integers(2, 20))
+    blocks = {
+        block: BlockStats.from_similarities(
+            np.array(draw(st.lists(_finite, min_size=K - 1, max_size=K - 1))),
+            draw(st.floats(min_value=0.0, allow_infinity=False)))
+        for block in canonical_blocks(layers)
+    }
+    return SimilarityProfile(K=K, episode_count=1, blocks=blocks)
+
+
+@given(plans())
+@settings(max_examples=100, deadline=None)
+def test_plan_dump_parse_dump_is_stable(plan):
+    text = fileio.dump_plan(plan)
+    assert fileio.dump_plan(fileio.parse_plan(text, K=plan.K)) == text
+
+
+@given(profiles())
+@settings(max_examples=100, deadline=None)
+def test_profile_dump_parse_dump_is_stable(profile):
+    text = fileio.dump_profile(profile)
+    assert fileio.dump_profile(fileio.parse_profile(text)) == text
+
+
+_any_int = st.one_of(st.integers(-3, 40), st.integers(-10**15, 10**15))
+_block_name = st.builds(
+    "layers.{}.{}".format, _any_int, st.sampled_from(KINDS + ("XX", "")))
+_number = st.one_of(_any_int.map(str), st.floats().map(repr), st.sampled_from(["", "1e999", "x"]))
+_csv = st.lists(_number, max_size=6).map(",".join)
+_plan_line = st.one_of(st.text(), st.builds("{}: {}".format, _block_name, _csv))
+_profile_line = st.one_of(
+    st.text(),
+    st.just(fileio.PROFILE_HEADER),
+    _number.map("K={}".format),
+    _number.map("BLOCKS={}".format),
+    _block_name.map("BLOCK {}".format),
+    _csv.map("S: {}".format),
+    _number.map("L1: {}".format),
+)
+
+
+@st.composite
+def edited(draw, valid, line):
+    """A valid dump with up to three lines replaced, inserted or deleted."""
+    lines = draw(valid).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "insert" or i == len(lines):
+            lines.insert(i, draw(line))
+        elif op == "replace":
+            lines[i] = draw(line)
+        else:
+            del lines[i]
+    return "\n".join(lines) + "\n"
+
+
+@given(st.one_of(st.text(), st.lists(_plan_line, max_size=8).map("\n".join),
+                 edited(plans().map(fileio.dump_plan), _plan_line)),
+       st.integers(1, 30))
+@settings(max_examples=300, deadline=None)
+def test_parse_plan_raises_only_bac_errors(text, K):
+    try:
+        fileio.parse_plan(text, K=K)
+    except BacError:
+        pass
+
+
+@given(st.one_of(st.text(), st.lists(_profile_line, max_size=8).map("\n".join),
+                 edited(profiles().map(fileio.dump_profile), _profile_line)))
+@settings(max_examples=300, deadline=None)
+def test_parse_profile_raises_only_bac_errors(text):
+    try:
+        fileio.parse_profile(text)
+    except BacError:
+        pass
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the body after ``seconds`` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_huge_block_counts_fail_before_building_blocks():
+    """A block count far beyond the file fails at once; the time limit stops a
+    parser that would build every named block first (about 1e6 per second)."""
+    with _time_limit(2.0):
+        with pytest.raises(FormatError, match="missing blocks: layers.0.SA, .*, \\.\\.\\.$"):
+            fileio.parse_plan("layers.1000000000000.SA: 0\n", K=12)
+        with pytest.raises(FormatError, match="line 4: unexpected end of file"):
+            fileio.parse_profile(f"{fileio.PROFILE_HEADER}\nK=5\nBLOCKS=3000000000000\n")
 
 
 def test_added_steps_format():
