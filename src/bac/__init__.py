@@ -50,8 +50,6 @@ from .profiler import (
     SimilarityProfile,
     caching_error_magnitude,
     consecutive_similarities,
-    cosine,
-    interval_similarity,
     profile_task,
     similarity_matrices,
     similarity_matrix,

@@ -153,9 +153,6 @@ class FeatureTrace:
     residuals: np.ndarray  # (3L, K, T, d_model)
     actions: np.ndarray    # (K, T, action_dim)
 
-    def block(self, block: BlockId) -> np.ndarray:
-        return self.residuals[block.ordinal]
-
 
 def _xavier(stream: SplitMix64, fan_in: int, fan_out: int, shape: tuple[int, ...]) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))

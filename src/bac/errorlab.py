@@ -211,75 +211,74 @@ class SurgeStats:
     upstream_staleness: np.ndarray  # (seeds, K) output error of the frozen block
 
 
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix along the first axis; one ``np.linalg.norm``
+    call per matrix, so a value does not depend on the rest of the batch."""
+    return np.array([np.linalg.norm(m) for m in stack])
+
+
 def error_surge_experiment(
     denoiser: ToyDenoiser,
     seeds: Sequence[int],
-    upstream: BlockId | None = None,
-    downstream: BlockId | None = None,
     betas: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
-    beta_step: int | None = None,
 ) -> SurgeStats:
     """Correlate the propagated upstream error with the downstream update error.
 
-    The upstream block keeps only its step-0 cache while every other block
-    recomputes everywhere, so the deviation reaching the downstream
+    The upstream block is the second-to-last FFN and the downstream block the
+    last one.  The upstream block keeps only its step-0 cache while every other
+    block recomputes everywhere, so the deviation reaching the downstream
     feed-forward input at step t is caused purely by upstream caching and the
     downstream error at step t is pure update-induced error.  Part (a)
     correlates the norm of that input deviation with the downstream
     recomputation error across timesteps; part (b) reruns the downstream block
-    at one fixed step on x_ref + beta * (x_bad - x_ref), scaling the same raw
+    at step K // 2 on x_ref + beta * (x_bad - x_ref), scaling the same raw
     deviation.  The frozen block's own output staleness is reported as a
     secondary series.
 
-    Both runs go through ``execute``; the errors are the L2 distances of the
+    Seeds are an array axis: the episodes of all seeds (each
+    ``synth_episode(config, derive_seed(seed, 0))``) run as one batched full
+    pass and one batched ``execute`` under the frozen mask, and each beta is
+    one batched ``block_residual``.  The errors are the L2 distances of the
     served residuals to the reference, as in ``engine.run_cached``, and the
     downstream inputs come from ``pre_block_states`` of each run's trace.
     """
     cfg = denoiser.config
-    if upstream is None:
-        upstream = BlockId(max(cfg.layers - 2, 0), "FFN")
-    if downstream is None:
-        downstream = BlockId(cfg.layers - 1, "FFN")
+    upstream = BlockId(max(cfg.layers - 2, 0), "FFN")
+    downstream = BlockId(cfg.layers - 1, "FFN")
     if downstream.ordinal <= upstream.ordinal:
-        raise DimensionError("downstream block must come after upstream block")
-    if beta_step is None:
-        beta_step = cfg.K // 2
+        raise DimensionError("the surge experiment needs at least two layers")
+    beta_step = cfg.K // 2
+    runs = [synth_episode(cfg, derive_seed(seed, 0)) for seed in seeds]
+    if not runs:
+        raise DimensionError("the surge experiment needs at least one seed")
+    init, obs = (np.stack(arrays) for arrays in zip(*runs))
 
     frozen = np.ones((3 * cfg.layers, cfg.K), dtype=bool)
     frozen[upstream.ordinal, 1:] = False  # the upstream block keeps its step-0 cache
+    _, ref = denoise_full(denoiser, init, obs)
+    _, run = execute(denoiser, frozen, init, obs)
     rows = [upstream.ordinal, downstream.ordinal]
+    diff = run.residuals[:, rows] - ref.residuals[:, rows]
+    staleness, down_err = np.sqrt(np.einsum("sbtij,sbtij->bst", diff, diff))
+    x_ref = pre_block_states(denoiser, ref, init, downstream)
+    deviations = pre_block_states(denoiser, run, init, downstream) - x_ref  # x_bad - x_ref
+    up_err = np.array([_norms(d) for d in deviations])
+    per_seed_r = np.array([pearson(u[1:], d[1:]) for u, d in zip(up_err, down_err)])
+
     betas = np.asarray(list(betas), dtype=np.float64)
-    n_seeds = len(list(seeds))
-    up_err = np.empty((n_seeds, cfg.K))
-    staleness = np.empty((n_seeds, cfg.K))
-    down_err = np.empty((n_seeds, cfg.K))
-    beta_errors = np.empty((n_seeds, len(betas)))
-    per_seed_r = np.empty(n_seeds)
+    x_ref, deviation = x_ref[:, beta_step], deviations[:, beta_step]
+    cond = np.zeros((cfg.cond_tokens, cfg.d_model))  # unused by FFN blocks
+    base = block_residual(denoiser, downstream, x_ref, cond)
+    beta_errors = np.stack([
+        _norms(block_residual(denoiser, downstream, x_ref + beta * deviation, cond) - base)
+        for beta in betas
+    ], axis=1)
 
-    for si, seed in enumerate(seeds):
-        init, obs = synth_episode(cfg, derive_seed(seed, 0))
-        _, ref = denoise_full(denoiser, init, obs)
-        _, run = execute(denoiser, frozen, init, obs)
-        diff = run.residuals[rows] - ref.residuals[rows]
-        staleness[si], down_err[si] = np.sqrt(np.einsum("btij,btij->bt", diff, diff))
-        x_ref = pre_block_states(denoiser, ref, init, downstream)
-        deviations = pre_block_states(denoiser, run, init, downstream) - x_ref  # x_bad - x_ref
-        up_err[si] = [np.linalg.norm(d) for d in deviations]
-        per_seed_r[si] = pearson(up_err[si, 1:], down_err[si, 1:])
-
-        x_ref, deviation = x_ref[beta_step], deviations[beta_step]
-        cond = np.zeros((cfg.cond_tokens, cfg.d_model))  # unused by FFN blocks
-        base = block_residual(denoiser, downstream, x_ref, cond)
-        for bi, beta in enumerate(betas):
-            moved = block_residual(denoiser, downstream, x_ref + beta * deviation, cond)
-            beta_errors[si, bi] = np.linalg.norm(moved - base)
-
-    pooled = pearson(up_err[:, 1:].ravel(), down_err[:, 1:].ravel())
     return SurgeStats(
         upstream=upstream,
         downstream=downstream,
         per_seed_r=per_seed_r,
-        pooled_r=pooled,
+        pooled_r=pearson(up_err[:, 1:].ravel(), down_err[:, 1:].ravel()),
         betas=betas,
         beta_errors=beta_errors,
         beta_step=beta_step,

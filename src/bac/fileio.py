@@ -6,7 +6,7 @@ digits, which round-trips stably (write(parse(write(x))) == write(x)).
 profile:   BAC-PROFILE v1 / K=<int> / BLOCKS=<int> followed, per block in
            canonical order, by three lines:
                BLOCK layers.<l>.<SA|CA|FFN>
-               S: <K-1 comma-separated reals>
+               S: <K-1 comma-separated cosines in [-1, 1]>
                L1: <real>
 schedule:  one line per block, `layers.<l>.<KIND>: c0,c1,...` ascending with
            0 present.
@@ -27,6 +27,7 @@ from .profiler import BlockStats, SimilarityProfile
 from .scheduler import Schedule, ScheduleError
 
 PROFILE_HEADER = "BAC-PROFILE v1"
+COSINE_SLACK = 1e-6  # a profile's similarities are cosines: |s| <= 1 + COSINE_SLACK
 
 
 def fmt_float(x: float) -> str:
@@ -85,8 +86,8 @@ def parse_profile(text: str) -> SimilarityProfile:
             s = np.array([float(tok) for tok in s_line[3:].split(",")])
         except ValueError:
             raise FormatError("malformed similarity value", idx + 2) from None
-        if not np.isfinite(s).all():
-            raise FormatError("similarity values must be finite", idx + 2)
+        if not (np.abs(s) <= 1.0 + COSINE_SLACK).all():  # also rejects nan and inf
+            raise FormatError("similarity values must be finite cosines in [-1, 1]", idx + 2)
         if len(s) != K - 1:
             raise FormatError(
                 f"expected {K - 1} similarities, got {len(s)}", idx + 2
@@ -100,11 +101,11 @@ def parse_profile(text: str) -> SimilarityProfile:
             raise FormatError("malformed L1 value", idx + 3) from None
         if not np.isfinite(ell) or ell < 0:
             raise FormatError("L1 magnitude must be finite and nonnegative", idx + 3)
-        blocks[block] = BlockStats.from_similarities(s, ell)
+        blocks[block] = BlockStats(s, ell)
         idx += 3
     if any(line.strip() for line in lines[idx:]):
         raise FormatError("trailing content after last block", idx + 1)
-    return SimilarityProfile(K=K, episode_count=1, blocks=blocks)
+    return SimilarityProfile(K=K, blocks=blocks)
 
 
 def write_profile(profile: SimilarityProfile, path: str) -> None:
@@ -129,8 +130,8 @@ def dump_plan(plan: SchedulePlan) -> str:
 
 
 def parse_plan(text: str, K: int) -> SchedulePlan:
-    """Parse a schedule file of horizon K; checks ascending order, 0-present, range."""
-    entries: dict[BlockId, tuple[int, ...]] = {}
+    """Parse a schedule file of horizon K; each line must be a valid ``Schedule``."""
+    schedules: dict[BlockId, Schedule] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -139,34 +140,27 @@ def parse_plan(text: str, K: int) -> SchedulePlan:
             raise FormatError("expected 'layers.<l>.<KIND>: steps'", lineno)
         name, _, steps_text = line.partition(":")
         block = parse_block_name(name, lineno)
-        if block in entries:
+        if block in schedules:
             raise FormatError(f"duplicate block {block.name}", lineno)
         try:
             steps = tuple(int(tok.strip()) for tok in steps_text.split(","))
         except ValueError:
             raise FormatError("malformed step list", lineno) from None
-        if not steps or steps[0] != 0:
-            raise FormatError(f"{block.name}: schedule must start at 0", lineno)
-        if any(b <= a for a, b in zip(steps, steps[1:])):
-            raise FormatError(f"{block.name}: steps must be ascending", lineno)
-        if steps[-1] >= K:
-            raise FormatError(f"{block.name}: step {steps[-1]} out of range", lineno)
-        entries[block] = steps
+        try:
+            schedules[block] = Schedule(steps, K)
+        except ScheduleError as exc:
+            raise FormatError(f"{block.name}: {exc}", lineno) from None
 
-    if not entries:
+    if not schedules:
         raise FormatError("empty schedule file", 1)
-    layers = max(b.layer for b in entries) + 1
+    layers = max(b.layer for b in schedules) + 1
     # the entries are distinct blocks below `layers`, so too few means gaps;
     # name the first ones lazily, as `layers` may be far larger than the file
-    absent = 3 * layers - len(entries)
+    absent = 3 * layers - len(schedules)
     if absent:
-        missing = (b.name for b in map(block_at, range(3 * layers)) if b not in entries)
+        missing = (b.name for b in map(block_at, range(3 * layers)) if b not in schedules)
         shown = ", ".join(itertools.islice(missing, 10))
         raise FormatError(f"missing blocks: {shown}{', ...' if absent > 10 else ''}")
-    try:
-        schedules = {b: Schedule(steps, K) for b, steps in entries.items()}
-    except ScheduleError as exc:
-        raise FormatError(str(exc)) from None
     return SchedulePlan(layers=layers, schedules=schedules)
 
 

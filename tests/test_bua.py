@@ -20,10 +20,8 @@ def _profile_with_ells(ells, K=10):
     blocks = {}
     for name, ell in ells.items():
         layer, kind = name.split(".")[1:]
-        blocks[BlockId(int(layer), kind)] = BlockStats.from_similarities(
-            np.zeros(K - 1), ell
-        )
-    return SimilarityProfile(K=K, episode_count=1, blocks=blocks)
+        blocks[BlockId(int(layer), kind)] = BlockStats(np.zeros(K - 1), ell)
+    return SimilarityProfile(K=K, blocks=blocks)
 
 
 def _random_plan(rng, layers, K):

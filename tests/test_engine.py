@@ -95,7 +95,7 @@ def test_zero_plan_surface_is_drift_from_step_zero(small_denoiser, small_config,
     _, report = run_cached(small_denoiser, zero_plan(small_config), init, obs,
                            reference=trace)
     for block in canonical_blocks(small_config.layers):
-        feats = trace.block(block)
+        feats = trace.residuals[block.ordinal]
         want = np.linalg.norm(feats - feats[0], axis=(1, 2))
         assert np.allclose(report.errors[block.ordinal], want, atol=1e-10)
     assert report.update_mask[:, 0].all() and not report.update_mask[:, 1:].any()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,28 @@ def test_surge_errors_equal_run_cached_errors():
     _, report = run_cached(den, plan, init, obs, reference=denoise_full(den, init, obs)[1])
     assert np.array_equal(stats.upstream_staleness[0], report.errors[stats.upstream.ordinal])
     assert np.array_equal(stats.downstream_errors[0], report.errors[stats.downstream.ordinal])
+
+
+def test_surge_seed_batch_equals_one_seed_calls():
+    """Seeds are rows of one batch: each row equals its own one-seed run exactly."""
+    cfg = DenoiserConfig(layers=4, d_model=32, heads=4, K=40)
+    den = build_denoiser(cfg)
+    seeds = [4, 0, 9]
+    batch = error_surge_experiment(den, seeds)
+    for row, seed in enumerate(seeds):
+        one = error_surge_experiment(den, [seed])
+        for field in ("per_seed_r", "beta_errors", "upstream_errors",
+                      "downstream_errors", "upstream_staleness"):
+            assert np.array_equal(getattr(batch, field)[row], getattr(one, field)[0]), field
+    assert np.array_equal(batch.betas, one.betas) and batch.beta_step == cfg.K // 2
+
+
+def test_surge_needs_a_seed_and_two_layers():
+    cfg = DenoiserConfig(layers=1, d_model=32, heads=4, K=40)
+    with pytest.raises(DimensionError, match="at least one seed"):
+        error_surge_experiment(build_denoiser(replace(cfg, layers=2)), [])
+    with pytest.raises(DimensionError, match="at least two layers"):
+        error_surge_experiment(build_denoiser(cfg), [0])
 
 
 def test_surge_defaults_pick_last_two_ffns(surge_stats):

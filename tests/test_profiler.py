@@ -6,19 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bac.blocks import BlockId
-from bac.denoiser import build_denoiser, denoise_full, synth_episode
-from bac.errors import DegenerateFeatureError, DimensionError, RangeError
+from bac.denoiser import FeatureTrace, denoise_full, synth_episode
+from bac.errors import DegenerateFeatureError, RangeError
 from bac.fileio import dump_profile
 from bac.profiler import (
     caching_error_magnitude,
     consecutive_similarities,
-    cosine,
-    interval_similarity,
     profile_task,
     similarity_matrices,
     similarity_matrix,
-    BlockStats,
-    SimilarityProfile,
 )
 from bac.rng import derive_seed
 
@@ -27,34 +23,16 @@ from conftest import make_trace
 B0 = BlockId(0, "SA")
 
 
-# -- cosine -------------------------------------------------------------------
+def _cosine(a, b):
+    """Cosine of two feature matrices flattened row-major: the test oracle."""
+    a, b = a.ravel(), b.ravel()
+    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
-def test_cosine_identity_and_antipodal():
-    v = np.array([[1.0, 2.0], [3.0, -1.0]])
-    assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
-    assert cosine(v, -v) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_cosine_hand_value():
-    a = np.array([[1.0, 0.0], [0.0, 0.0]])
-    b = np.array([[1.0, 1.0], [0.0, 0.0]])
-    assert cosine(a, b) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
-
-
-def test_cosine_errors():
-    with pytest.raises(DimensionError):
-        cosine(np.ones((2, 2)), np.ones((2, 3)))
-    with pytest.raises(DegenerateFeatureError):
-        cosine(np.zeros((2, 2)), np.ones((2, 2)))
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=50, deadline=None)
-def test_cosine_bounded(seed):
-    rng = np.random.default_rng(seed)
-    a, b = rng.normal(size=(2, 3, 4))
-    assert -1.0 - 1e-12 <= cosine(a, b) <= 1.0 + 1e-12
+def _stacked(trace, copies):
+    """The trace repeated along a leading episode axis."""
+    return FeatureTrace(residuals=np.stack([trace.residuals] * copies),
+                        actions=np.stack([trace.actions] * copies))
 
 
 # -- consecutive similarities ---------------------------------------------------
@@ -74,14 +52,34 @@ def test_antipodal_two_step_trace():
     assert s[0] == pytest.approx(-1.0, abs=1e-12)
 
 
+def test_cosine_hand_value():
+    # features are flattened row-major before the cosine
+    a = np.array([[1.0, 0.0], [0.0, 0.0]])
+    b = np.array([[1.0, 1.0], [0.0, 0.0]])
+    trace = make_trace(lambda t: a if t == 0 else b, K=2, width=2)
+    s = consecutive_similarities(trace, B0)
+    assert s[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_cosine_bounded(seed):
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(4, 3, 4))
+    trace = make_trace(lambda t: feats[t], K=4, tokens=3, width=4)
+    s = consecutive_similarities(trace, B0)
+    m = similarity_matrix(trace, B0)
+    assert np.all(np.abs(s) <= 1.0 + 1e-12) and np.all(np.abs(m) <= 1.0 + 1e-12)
+
+
 def test_matches_per_pair_recomputation(small_trace):
     _, trace = small_trace
     for block in (BlockId(0, "CA"), BlockId(1, "FFN")):
         s = consecutive_similarities(trace, block)
-        feats = trace.block(block)
+        feats = trace.residuals[block.ordinal]
         for t in range(1, feats.shape[0]):
             assert s[t - 1] == pytest.approx(
-                cosine(feats[t], feats[t - 1]), abs=1e-12
+                _cosine(feats[t], feats[t - 1]), abs=1e-12
             )
 
 
@@ -90,55 +88,24 @@ def test_degenerate_step_named_in_error():
     trace = make_trace(lambda t: np.zeros((2, 3)) if t == 2 else base, K=4)
     with pytest.raises(DegenerateFeatureError, match="step 2"):
         consecutive_similarities(trace, B0)
+    several = _stacked(trace, 3)
+    several.residuals[0, B0.ordinal, 2] = base  # episode 0 is sound, 1 and 2 are not
+    with pytest.raises(DegenerateFeatureError, match="at step 2 of episode 1"):
+        consecutive_similarities(several, B0)
 
 
 def test_episode_mean_of_identical_traces_is_single(small_trace):
+    # a batch of one equals the unbatched trace exactly; larger batches to rounding
     _, trace = small_trace
-    one = consecutive_similarities(trace, B0)
-    several = consecutive_similarities([trace, trace, trace], B0)
-    np.testing.assert_allclose(several, one, rtol=0, atol=1e-15)
-
-
-# -- interval similarity ---------------------------------------------------------
-
-
-def _profile_from_s(s):
-    stats = BlockStats.from_similarities(np.asarray(s, dtype=float), ell=0.0)
-    return SimilarityProfile(K=len(s) + 1, episode_count=1, blocks={B0: stats})
-
-
-def test_interval_empty_and_full():
-    prof = _profile_from_s([0.9, 0.1, 0.8, 0.2])
-    assert interval_similarity(prof, B0, 3, 3) == 0.0
-    assert interval_similarity(prof, B0, 3, 1) == 0.0
-    assert interval_similarity(prof, B0, 0, 4) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_interval_hand_value():
-    prof = _profile_from_s([0.9, 0.1, 0.8, 0.2])
-    assert interval_similarity(prof, B0, 1, 3) == pytest.approx(0.9, abs=1e-12)
-
-
-def test_interval_range_errors():
-    prof = _profile_from_s([0.5, 0.5])
-    with pytest.raises(RangeError):
-        interval_similarity(prof, B0, 0, 3)
-    with pytest.raises(RangeError):
-        interval_similarity(prof, B0, -1, 1)
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_prefix_sum_fidelity(seed):
-    rng = np.random.default_rng(seed)
-    K = int(rng.integers(2, 30))
-    s = rng.uniform(-1, 1, K - 1)
-    prof = _profile_from_s(s)
-    for _ in range(10):
-        i = int(rng.integers(0, K))
-        j = int(rng.integers(0, K))
-        direct = float(np.sum(s[i:j])) if j > i else 0.0
-        assert interval_similarity(prof, B0, i, j) == pytest.approx(direct, abs=1e-12)
+    for copies, atol in ((1, 0.0), (3, 1e-15)):
+        several = _stacked(trace, copies)
+        for block in (B0, BlockId(1, "FFN")):
+            np.testing.assert_allclose(consecutive_similarities(several, block),
+                                       consecutive_similarities(trace, block), rtol=0, atol=atol)
+            np.testing.assert_allclose(similarity_matrix(several, block),
+                                       similarity_matrix(trace, block), rtol=0, atol=atol)
+            assert caching_error_magnitude(several, block) == pytest.approx(
+                caching_error_magnitude(trace, block), rel=atol, abs=0)
 
 
 # -- similarity matrix ------------------------------------------------------------
@@ -226,7 +193,6 @@ def test_profile_average_within_per_episode_envelope(small_denoiser, small_confi
     avg = prof.blocks[B0].s
     assert np.all(avg >= stacked.min(axis=0) - 1e-12)
     assert np.all(avg <= stacked.max(axis=0) + 1e-12)
-    assert prof.episode_count == 3
 
 
 def test_profile_requires_episode(small_denoiser):
