@@ -31,6 +31,7 @@ from .engine import (
     FlopsBreakdown,
     RunReport,
     flops_estimate,
+    memory_estimate,
     run_cached,
     uniform_plan,
 )

@@ -1,7 +1,9 @@
 """Command-line surface: profile -> schedule -> bubble -> run -> verify.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, input or resource
-error (including running out of memory).
+error (including running out of memory).  Every command that builds the
+denoiser first checks ``engine.memory_estimate`` of its weights and traces
+against ``engine.MEMORY_CAP_BYTES``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .blocks import parse_block_name
 from .bua import SchedulePlan, added_steps, bubble_union, select_upstream_blocks
 from .config import load_config
 from .denoiser import build_denoiser, denoise_full, synth_episode
-from .engine import run_cached, uniform_plan
+from .engine import check_memory, run_cached, uniform_plan
 from .errorlab import error_surge_experiment, random_ffn, verify_first_order
 from .errors import BacError, ConsistencyError
 from . import fileio
@@ -107,6 +109,7 @@ def _cmd_profile(args) -> int:
     config = load_config(args.config)
     if args.episodes < 1:
         raise BacError("--episodes must be at least 1")
+    check_memory(config, full_traces=args.episodes)
     profile = profile_task(build_denoiser(config), args.episodes, args.seed)
     fileio.write_profile(profile, args.out)
     return 0
@@ -127,6 +130,7 @@ def _cmd_schedule(args) -> int:
             raise ConsistencyError(
                 f"config layers={config.layers} != profile layers={profile.layer_count}"
             )
+        check_memory(config, full_traces=args.episodes)
         matrices = similarity_matrices(build_denoiser(config), args.episodes, args.seed)
         schedules = {
             b: solve_schedule_anchored(matrices[b], args.budget) for b in matrices
@@ -165,22 +169,22 @@ def _cmd_run(args) -> int:
         raise ConsistencyError(
             f"schedule covers {plan.layers} layers, config has {config.layers}"
         )
-    denoiser = build_denoiser(config)
-    init, obs = synth_episode(config, args.seed)
-    _, reference = denoise_full(denoiser, init, obs)
-    _, report = run_cached(denoiser, plan, init, obs, reference=reference)
-
-    baseline_report = None
+    plans = (plan,)
     if args.baseline:
         kind, _, value = args.baseline.partition(":")
         if kind != "uniform" or not value.isdigit():
             raise BacError(f"unsupported baseline {args.baseline!r}")
-        base_plan = uniform_plan(config.K, int(value), config.layers)
-        _, baseline_report = run_cached(
-            denoiser, base_plan, init, obs, reference=reference
-        )
+        plans += (uniform_plan(config.K, int(value), config.layers),)
+    check_memory(config, full_traces=1, plans=plans)
 
-    fileio.write_report(report, config.layers, args.report, baseline=baseline_report)
+    denoiser = build_denoiser(config)
+    init, obs = synth_episode(config, args.seed)
+    _, reference = denoise_full(denoiser, init, obs)
+    report, *baseline = [run_cached(denoiser, p, init, obs, reference=reference)[1]
+                         for p in plans]
+
+    fileio.write_report(report, config.layers, args.report,
+                        baseline=baseline[0] if baseline else None)
     if args.surface:
         fileio.write_surface_csv(report, config.layers, args.surface)
     return 0
@@ -207,6 +211,7 @@ def _cmd_export(args) -> int:
             raise BacError("simmatrix export needs --config and --block")
         config = load_config(args.config)
         block = parse_block_name(args.block)
+        check_memory(config, full_traces=args.episodes)
         matrices = similarity_matrices(build_denoiser(config), args.episodes, args.seed)
         if block not in matrices:
             raise BacError(f"no block {block.name} in this architecture")
@@ -218,6 +223,7 @@ def _cmd_export(args) -> int:
             raise BacError("surface export needs --config and --sched")
         config = load_config(args.config)
         plan = fileio.read_plan(args.sched, K=config.K)
+        check_memory(config, full_traces=1, plans=(plan,))
         denoiser = build_denoiser(config)
         init, obs = synth_episode(config, args.seed)
         _, report = run_cached(denoiser, plan, init, obs)
@@ -241,6 +247,7 @@ def _cmd_export(args) -> int:
     if not args.config:
         raise BacError("beta export needs --config")
     config = load_config(args.config)
+    check_memory(config, full_traces=2)  # the reference and the frozen-upstream pass
     stats = error_surge_experiment(build_denoiser(config), seeds=[args.seed])
     fileio.write_curve_csv(
         stats.betas, stats.beta_errors[0], args.out, ("beta", "downstream_error")

@@ -91,7 +91,10 @@ def load_config(path: str) -> DenoiserConfig:
         return parse_config_text(fh.read())
 
 
+def dump_config(config: DenoiserConfig) -> str:
+    return "".join(f"{name}={getattr(config, name)}\n" for name in _FIELD_NAMES)
+
+
 def write_config(config: DenoiserConfig, path: str) -> None:
-    lines = [f"{name}={getattr(config, name)}" for name in _FIELD_NAMES]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(dump_config(config))

@@ -28,9 +28,11 @@ The kernels take leading batch axes (``*lead, T, d``; MACs are per row), so
 these small tensors; each row equals its own run bit for bit.
 
 ``execute`` is the one forward loop, and it returns only what it served: each
-block's residual at each step and each step's action.  The hidden state that
-entered a block is not recorded; ``pre_block_states`` rebuilds it from those
-residuals with the loop's own adds, bit for bit.
+residual a block computed, stored once, the slot each (block, step) served,
+and each step's action.  A reused residual is not copied: at the default
+config a full pass holds 9.8 MB per episode and a cached run 4 KB per update.
+The hidden state that entered a block is not recorded; ``pre_block_states``
+rebuilds it from the served residuals with the loop's own adds, bit for bit.
 """
 
 from __future__ import annotations
@@ -143,15 +145,42 @@ class ToyDenoiser:
 
 @dataclass(frozen=True)
 class FeatureTrace:
-    """Residual outputs of every block at every step, plus per-step actions.
+    """The residuals a run served, each computed residual stored once, plus per-step actions.
 
-    ``residuals[block.ordinal, t]`` is the T x d_model residual the block added
-    at step t; ``actions[t]`` is the denoiser output after step t.  A batched
-    ``execute`` puts a leading episode axis on every array.
+    ``computed`` holds one T x d_model residual per update, numbered
+    block-major (block 0's updates in step order, then block 1's, ...), and
+    ``slot[i, t]`` names the one that block i served at step t: its last
+    update at or before t.  ``served(i)`` is block i's residual at every
+    step.  ``actions[t]`` is the denoiser output after step t.  A batched
+    ``execute`` puts a leading episode axis on ``computed`` and ``actions``.
+
+    In a full pass every block updates at every step, so ``slot`` is the
+    identity and ``residuals`` is the dense (3L, K, T, d_model) array, a free
+    reshape.  A cached run has no dense form here: it would copy each served
+    residual into every step of its reuse span.
     """
 
-    residuals: np.ndarray  # (3L, K, T, d_model)
-    actions: np.ndarray    # (K, T, action_dim)
+    computed: np.ndarray  # (updates, T, d_model)
+    slot: np.ndarray      # (3L, K) index into computed
+    actions: np.ndarray   # (K, T, action_dim)
+
+    @property
+    def is_full(self) -> bool:
+        """True when every block computed at every step, as in a full pass."""
+        return self.computed.shape[-3] == self.slot.size
+
+    def served(self, i: int) -> np.ndarray:
+        """Block i's served residual at every step, (K, T, d_model) after any
+        leading axes: one gather, so a new array."""
+        return self.computed[..., self.slot[i], :, :]
+
+    @property
+    def residuals(self) -> np.ndarray:
+        """Dense (3L, K, T, d_model) residuals, after any leading axes, of a full pass."""
+        if not self.is_full:
+            raise ValueError("a cached trace has no dense residuals; read it through served()")
+        *lead, _, T, d = self.computed.shape
+        return self.computed.reshape(*lead, *self.slot.shape, T, d)
 
 
 def _xavier(stream: SplitMix64, fan_in: int, fan_out: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -345,9 +374,10 @@ def execute(
     true the block recomputes its residual on the current hidden state;
     elsewhere it serves the residual it served at the previous step and is
     charged one T x d_model tensor add.  Step 0 must update every block (the
-    cache starts cold).  The returned trace holds the residuals actually
-    served; ``pre_block_states`` rebuilds from it the hidden state that
-    entered any block.
+    cache starts cold).  The returned trace stores each computed residual
+    once, at its block-major slot, and the slot each (block, step) served;
+    ``pre_block_states`` rebuilds from it the hidden state that entered any
+    block.
 
     ``init_noise`` (E, T, a) and ``obs`` (E, obs_dim) run E episodes as one
     batch under the shared mask; every result gains a leading episode axis.
@@ -373,35 +403,30 @@ def execute(
     if cold.size:
         raise PlanError(f"{blocks[cold[0]].name}: cold cache, step 0 must be an update")
 
-    residuals = np.empty((*lead, len(blocks), cfg.K, cfg.action_tokens, cfg.d_model))
+    # step 0 always updates, so no block's slots point into the block before it
+    slot = np.cumsum(update.ravel()).reshape(update.shape) - 1
+    computed = np.empty((*lead, np.count_nonzero(update), cfg.action_tokens, cfg.d_model))
     actions = np.empty((*lead, cfg.K, cfg.action_tokens, cfg.action_dim))
-    by_step = np.moveaxis(residuals, 0, 2) if lead else residuals  # (3L, K, *lead, T, d)
+    by_slot = np.moveaxis(computed, -3, 0)  # (updates, *lead, T, d)
     steps = update.T.tolist()  # steps[t][i]: plain bools, no numpy indexing per block
+    slots = slot.T.tolist()
     served: list[np.ndarray | None] = [None] * len(blocks)  # each block's last served residual
 
     cond = encode_obs(denoiser, obs, mac)
-    for t, row in enumerate(steps):
-        out = by_step[:, t]
+    for t, (row, at) in enumerate(zip(steps, slots)):
         h = embed_action(denoiser, action, t, mac)  # a fresh array, so += is safe
         for i, block in enumerate(blocks):
             if row[i]:
-                served[i] = out[i] = block_residual(denoiser, block, h, cond, mac)
+                served[i] = by_slot[at[i]] = block_residual(denoiser, block, h, cond, mac)
             h += served[i]
         action = project_action(denoiser, h, mac)
         actions[..., t, :, :] = action
 
-    # a reused residual equals the one served at the last update: fill each
-    # span of reuse steps from it
-    for i, row in enumerate(update):
-        ups = np.flatnonzero(row).tolist()
-        for start, end in zip(ups, ups[1:] + [cfg.K]):
-            if end - start > 1:
-                by_step[i, start + 1:end] = by_step[i, start]
     if mac is not None:  # one T x d_model add per reuse; the encoding, per step
         reuses = int(update.size - np.count_nonzero(update))
         mac.add(math.prod(lead) * (cfg.action_tokens * cfg.d_model * reuses
                                    + (cfg.K - 1) * cfg.cond_tokens * cfg.action_dim * cfg.d_model))
-    return action, FeatureTrace(residuals, actions)
+    return action, FeatureTrace(computed, slot, actions)
 
 
 def pre_block_states(
@@ -417,7 +442,7 @@ def pre_block_states(
     prev = [np.asarray(init_noise, dtype=np.float64), *np.moveaxis(trace.actions, -3, 0)[:-1]]
     h = np.stack([embed_action(denoiser, a, t) for t, a in enumerate(prev)], axis=-3)
     for i in range(block.ordinal):
-        h += trace.residuals[..., i, :, :, :]
+        h += trace.served(i)
     return h
 
 

@@ -4,9 +4,12 @@ Cached and full-precision runs share one forward loop, ``denoiser.execute``:
 a plan becomes a (3L, K) update mask, at an update step a block recomputes its
 residual on the current (possibly error-bearing) hidden state, and at every
 other step the previously served residual is added unchanged, so the feature
-served at step t always comes from max{i in C | i <= t}.  Errors are measured
-after the run, vectorised over all (block, step) pairs, against a
-full-precision reference run with identical inputs.
+served at step t always comes from max{i in C | i <= t}.  The run's trace
+holds each computed residual once (about 4 KB per update at the default
+config, against 9.8 MB for a full pass), with the slot each (block, step)
+served.  Errors are measured after the run, block by block, against a
+full-precision reference run with identical inputs: each block's served
+residuals are gathered once, and the L2 distance of every step is one einsum.
 
 Cost model (multiply-accumulates, elementwise ops free):
 
@@ -32,7 +35,7 @@ import numpy as np
 from .blocks import BlockId, canonical_blocks
 from .config import DenoiserConfig
 from .denoiser import FeatureTrace, MacCounter, ToyDenoiser, denoise_full, execute
-from .errors import BudgetError, ConsistencyError, DimensionError, PlanError
+from .errors import BudgetError, ConfigError, ConsistencyError, DimensionError, PlanError
 from .bua import SchedulePlan
 from .scheduler import Schedule
 
@@ -133,6 +136,46 @@ def flops_estimate(config: DenoiserConfig, plan: SchedulePlan) -> FlopsBreakdown
     )
 
 
+# The most bytes a command may plan to hold; above it the preflight refuses
+# the command before any weight is built.
+MEMORY_CAP_BYTES = 2 * 1024**3
+
+
+def memory_estimate(
+    config: DenoiserConfig, full_traces: int = 0, plans: tuple[SchedulePlan, ...] = ()
+) -> int:
+    """Bytes of the weights plus the traces a command holds, by arithmetic alone.
+
+    The weights include the timestep table.  A trace holds one T x d_model
+    float64 residual per update, the K actions and the (3L, K) slot index: a
+    full pass updates all 3L x K (block, step) pairs, a cached run of a plan
+    updates its schedules' steps.  Temporaries of the forward loop and of the
+    statistics are not counted.
+    """
+    t, d, a, K = config.action_tokens, config.d_model, config.action_dim, config.K
+    d_ff, n = config.d_ff, 3 * config.layers
+    per_layer = 8 * d * d + 2 * d + (2 * d * d_ff + d_ff + 2 * d)  # SA, CA, FFN
+    weights = 3 * a * d + config.layers * per_layer + K * d
+
+    def trace(updates: int) -> int:
+        return updates * t * d + K * t * a + n * K
+
+    updates = [sum(len(p.schedule(b)) for b in canonical_blocks(p.layers)) for p in plans]
+    return 8 * (weights + full_traces * trace(n * K) + sum(trace(u) for u in updates))
+
+
+def check_memory(
+    config: DenoiserConfig, full_traces: int = 0, plans: tuple[SchedulePlan, ...] = ()
+) -> None:
+    """Raise ``ConfigError`` if ``memory_estimate`` exceeds ``MEMORY_CAP_BYTES``."""
+    estimate = memory_estimate(config, full_traces, plans)
+    if estimate > MEMORY_CAP_BYTES:
+        raise ConfigError(
+            f"this command would hold about {estimate / 1e9:.3g} GB ({estimate} bytes of "
+            f"weights and traces), above the cap of {MEMORY_CAP_BYTES} bytes; use a "
+            f"smaller config or fewer episodes")
+
+
 def run_cached(
     denoiser: ToyDenoiser,
     plan: SchedulePlan,
@@ -158,14 +201,16 @@ def run_cached(
     for block in canonical_blocks(cfg.layers):
         update[block.ordinal, list(plan.schedule(block).steps)] = True
 
-    action, served = execute(denoiser, update, init_noise, obs, mac=mac)
+    action, run = execute(denoiser, update, init_noise, obs, mac=mac)
     if reference is None:
         _, reference = denoise_full(denoiser, init_noise, obs)
 
-    # the served residuals are not returned, so their buffer holds the difference
-    diff = served.residuals
-    diff -= reference.residuals
-    errors = np.sqrt(np.einsum("btij,btij->bt", diff, diff))
+    errors = np.empty(update.shape)
+    ref = reference.residuals
+    for i, row in enumerate(ref):  # one block's served residuals at a time
+        diff = run.served(i)
+        diff -= row
+        errors[i] = np.sqrt(np.einsum("tij,tij->t", diff, diff))
     provenance = np.maximum.accumulate(np.where(update, np.arange(cfg.K), -1), axis=1)
     final_dev = float(np.sqrt(np.mean((action - reference.actions[-1]) ** 2)))
     report = RunReport(

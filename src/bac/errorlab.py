@@ -257,8 +257,8 @@ def error_surge_experiment(
     frozen[upstream.ordinal, 1:] = False  # the upstream block keeps its step-0 cache
     _, ref = denoise_full(denoiser, init, obs)
     _, run = execute(denoiser, frozen, init, obs)
-    rows = [upstream.ordinal, downstream.ordinal]
-    diff = run.residuals[:, rows] - ref.residuals[:, rows]
+    diff = np.stack([run.served(i) - ref.residuals[:, i]
+                     for i in (upstream.ordinal, downstream.ordinal)], axis=1)
     staleness, down_err = np.sqrt(np.einsum("sbtij,sbtij->bst", diff, diff))
     x_ref = pre_block_states(denoiser, ref, init, downstream)
     deviations = pre_block_states(denoiser, run, init, downstream) - x_ref  # x_bad - x_ref

@@ -26,13 +26,22 @@ def _wrap():
     return np.errstate(over="ignore")
 
 
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 scrambler applied to ``z`` in place; returns ``z``."""
+    with _wrap():
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
+    return z
+
+
 def mix64(z: np.ndarray | int) -> np.ndarray | np.uint64:
     """SplitMix64 output scrambler, elementwise over uint64."""
-    z = np.uint64(z) if np.isscalar(z) else z.astype(np.uint64, copy=True)
-    with _wrap():
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+    if np.isscalar(z):
+        return _mix(np.array(z, dtype=np.uint64))[()]
+    return _mix(z.astype(np.uint64, copy=True))
 
 
 class SplitMix64:
@@ -49,21 +58,34 @@ class SplitMix64:
         self._seed = np.uint64(int(seed))
         self._pos = 0
 
+    # Each draw applies its uint64 or float64 operations in place to one
+    # fresh array, in the order of the plain formulas
+    # mix64(seed + idx * GOLDEN) >> 11 and (2 * u - 1) * bound, so the bits
+    # are the same and no temporary is made per operation.
+
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self._pos + 1, self._pos + n + 1, dtype=np.uint64)
+        state = np.arange(self._pos + 1, self._pos + n + 1, dtype=np.uint64)
         self._pos += n
         with _wrap():
-            state = self._seed + idx * GOLDEN
-        return mix64(state)
+            state *= GOLDEN
+            state += self._seed
+        return _mix(state)
 
     def take(self, n: int) -> np.ndarray:
         """Next n uniforms in [0, 1)."""
-        bits = self._raw(n) >> np.uint64(11)
-        return bits.astype(np.float64) * _INV_2_53
+        bits = self._raw(n)
+        bits >>= np.uint64(11)
+        u = bits.astype(np.float64)
+        u *= _INV_2_53
+        return u
 
     def uniform(self, n: int, bound: float) -> np.ndarray:
         """Next n uniforms in [-bound, bound)."""
-        return (2.0 * self.take(n) - 1.0) * bound
+        u = self.take(n)
+        u *= 2.0
+        u -= 1.0
+        u *= bound
+        return u
 
     def normal(self, n: int) -> np.ndarray:
         """Next n standard normals via Box-Muller.
@@ -72,7 +94,8 @@ class SplitMix64:
         log never sees zero.
         """
         pairs = (n + 1) // 2
-        bits = self._raw(2 * pairs) >> np.uint64(11)
+        bits = self._raw(2 * pairs)
+        bits >>= np.uint64(11)
         u = bits.astype(np.float64)
         u1 = (u[:pairs] + 1.0) * _INV_2_53
         u2 = u[pairs:] * _INV_2_53

@@ -47,13 +47,21 @@ def default_denoiser(default_config):
     return build_denoiser(default_config)
 
 
-def make_trace(residual_fn, K, blocks=1, tokens=2, width=3):
-    """Synthetic FeatureTrace whose block-0 residuals follow residual_fn(t)."""
+def full_trace(residuals, actions):
+    """The FeatureTrace of a pass in which every block updated at every step;
+    ``residuals`` is (3L, K, T, d_model), with any leading axes."""
     from bac.denoiser import FeatureTrace
 
+    *lead, n, K, T, d = residuals.shape
+    return FeatureTrace(residuals.reshape(*lead, n * K, T, d), np.arange(n * K).reshape(n, K),
+                        actions)
+
+
+def make_trace(residual_fn, K, blocks=1, tokens=2, width=3):
+    """Synthetic FeatureTrace whose block-0 residuals follow residual_fn(t)."""
     residuals = np.empty((3 * blocks, K, tokens, width))
     for ordinal in range(3 * blocks):
         for t in range(K):
             residuals[ordinal, t] = residual_fn(t)
     actions = np.zeros((K, tokens, width))
-    return FeatureTrace(residuals=residuals, actions=actions)
+    return full_trace(residuals, actions)

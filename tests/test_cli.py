@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from bac import fileio
+from bac.blocks import canonical_blocks
 from bac.cli import main
+from bac.config import DenoiserConfig, parse_config_text
+from bac.engine import memory_estimate, uniform_plan
+from bac.profiler import BlockStats, SimilarityProfile
 from bac.scheduler import objective, solve_schedule
 
 CONFIG_TEXT = (
@@ -298,6 +302,59 @@ def test_out_of_memory_exits_two(workspace, capsys, monkeypatch):
     assert run_cli("profile", "--config", cfg, "--out", tmp / "p.bacprof") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
+@pytest.fixture
+def default_workspace(tmp_path):
+    """The default config with a synthetic profile and a uniform:10 plan for it."""
+    cfg = DenoiserConfig()
+    (tmp_path / "toy.cfg").write_text("")  # every key at its default
+    blocks = {b: BlockStats(np.linspace(0.9, 0.5, cfg.K - 1), 1.0)
+              for b in canonical_blocks(cfg.layers)}
+    fileio.write_profile(SimilarityProfile(K=cfg.K, blocks=blocks), tmp_path / "p.bacprof")
+    fileio.write_plan(uniform_plan(cfg.K, 10, cfg.layers), tmp_path / "u.bacsched")
+    return tmp_path
+
+
+_DEFAULT_PLAN = uniform_plan(100, 10, 8)
+# argv ({w} is the workspace), full traces and cached plans of each preflight
+_PREFLIGHT_CASES = {
+    "profile": ("profile --episodes 3 --out {w}/out", 3, ()),
+    "schedule": ("schedule --profile {w}/p.bacprof --budget 10 --anchored --episodes 2 "
+                 "--out {w}/out", 2, ()),
+    "run": ("run --sched {w}/u.bacsched --report {w}/out --baseline uniform:20", 1,
+            (_DEFAULT_PLAN, uniform_plan(100, 20, 8))),
+    "simmatrix": ("export --what simmatrix --block layers.0.SA --out {w}/out", 1, ()),
+    "surface": ("export --what surface --sched {w}/u.bacsched --out {w}/out", 1,
+                (_DEFAULT_PLAN,)),
+    "beta": ("export --what beta --out {w}/out", 2, ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PREFLIGHT_CASES))
+def test_preflight_refuses_above_the_cap_before_building(default_workspace, capsys,
+                                                         monkeypatch, case):
+    argv, full_traces, plans = _PREFLIGHT_CASES[case]
+    estimate = memory_estimate(DenoiserConfig(), full_traces, plans)
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("built the denoiser above the memory cap")
+
+    monkeypatch.setattr("bac.cli.build_denoiser", never)
+    monkeypatch.setattr("bac.engine.MEMORY_CAP_BYTES", estimate - 1)
+    w = default_workspace
+    assert run_cli(*argv.format(w=w).split(), "--config", w / "toy.cfg") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"({estimate} bytes" in err
+    assert not (w / "out").exists()
+
+
+def test_preflight_admits_a_command_at_the_cap(workspace, monkeypatch):
+    tmp, cfg = workspace
+    small = parse_config_text(CONFIG_TEXT)
+    monkeypatch.setattr("bac.engine.MEMORY_CAP_BYTES", memory_estimate(small, full_traces=2))
+    assert run_cli("profile", "--config", cfg, "--episodes", 2, "--out", tmp / "p.bacprof") == 0
+    assert run_cli("profile", "--config", cfg, "--episodes", 3, "--out", tmp / "q.bacprof") == 2
 
 
 def test_help_lists_exit_codes(capsys):

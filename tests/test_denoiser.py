@@ -26,17 +26,24 @@ from bac.denoiser import (
     synth_episode,
     weight_checksum,
 )
-from bac.engine import uniform_plan
+from bac.bua import SchedulePlan
+from bac.engine import run_cached, uniform_plan
 from bac.errors import ConfigError, DimensionError
 from bac.profiler import profile_task
 from bac.rng import derive_seed
-from bac.scheduler import solve_schedule
+from bac.scheduler import Schedule, solve_schedule
 
 
 def test_build_is_deterministic(small_config):
     a = weight_checksum(build_denoiser(small_config))
     b = weight_checksum(build_denoiser(small_config))
     assert a == b
+
+
+def test_default_weights_are_pinned():
+    # the SplitMix64 fill of DenoiserConfig(); a change to the draws moves it
+    assert weight_checksum(build_denoiser(DenoiserConfig())) == (
+        "9b4a554591c38f55be28eb9fbec041de13c7fb5fd9082f3d3fb82e431247e2dd")
 
 
 def test_build_rejects_bad_heads():
@@ -76,6 +83,10 @@ def test_trace_shape_counts_all_blocks():
     _, trace = denoise_full(den, init, obs)
     assert trace.residuals.shape == (6, 2, 3, 8)  # 2 steps x 3 blocks x 2 layers
     assert trace.actions.shape == (2, 3, 2)
+    # served() gathers a new array, which callers may write into
+    served = trace.served(4)
+    assert not np.shares_memory(served, trace.computed)
+    assert np.array_equal(served, trace.residuals[4])
 
 
 def test_denoise_full_repeatable(default_denoiser, default_config):
@@ -223,6 +234,11 @@ def _execute_loop(denoiser, update, init_noise, obs, mac=None, capture=None):
     return action, residuals, actions, captured if wanted is not None else None
 
 
+def _dense(trace):
+    """The (*lead, 3L, K, T, d) served residuals of any trace, one gather per block."""
+    return np.stack([trace.served(i) for i in range(len(trace.slot))], axis=-4)
+
+
 @pytest.fixture(scope="module")
 def execute_cases(default_denoiser, default_config):
     cfg = default_config
@@ -261,7 +277,7 @@ def test_execute_matches_per_block_oracle(default_denoiser, default_config, exec
     want_action, want_residuals, want_actions, want_captured = _execute_loop(
         default_denoiser, update, init, obs, mac=oracle_mac, capture=capture)
     assert np.array_equal(action, want_action)
-    assert np.array_equal(trace.residuals, want_residuals)
+    assert np.array_equal(_dense(trace), want_residuals)
     assert np.array_equal(trace.actions, want_actions)
     assert mac.count == oracle_mac.count
     if capture is not None:
@@ -270,6 +286,51 @@ def test_execute_matches_per_block_oracle(default_denoiser, default_config, exec
             states = pre_block_states(default_denoiser, trace, init, block)
             for t, state in enumerate(states):
                 assert np.array_equal(state, want_captured[(block, t)])
+
+
+# -- the compact trace: each computed residual once, plus the slot it serves ----
+
+
+def _mask_plan(config, update):
+    return SchedulePlan(layers=config.layers, schedules={
+        b: Schedule(tuple(np.flatnonzero(update[b.ordinal]).tolist()), config.K)
+        for b in canonical_blocks(config.layers)
+    })
+
+
+@given(
+    arrays(np.bool_, (6, 12)),  # the small config: 3 x 2 blocks, K = 12
+    st.sampled_from([None, 2]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_compact_trace_serves_what_the_oracle_served(small_denoiser, update, E, seed):
+    cfg = small_denoiser.config
+    update[:, 0] = True
+    if E is None:
+        init, obs = synth_episode(cfg, seed)
+        rows = [(init, obs)]
+    else:
+        init, obs = _episodes(cfg, seed, E)
+        rows = list(zip(init, obs))
+    _, trace = execute(small_denoiser, update, init, obs)
+
+    assert trace.computed.shape[-3] == update.sum()
+    wants = [_execute_loop(small_denoiser, update, i, o)[1] for i, o in rows]
+    for i in range(len(update)):
+        got = trace.served(i) if E else trace.served(i)[None]
+        for e, want in enumerate(wants):
+            assert np.array_equal(got[e], want[i])
+        for t in range(cfg.K):
+            last = max(s for s in range(t + 1) if update[i, s])
+            assert trace.slot[i, t] == update[:i].sum() + update[i, :last].sum()
+
+    init, obs = rows[0]
+    _, reference = denoise_full(small_denoiser, init, obs)
+    _, report = run_cached(small_denoiser, _mask_plan(cfg, update), init, obs,
+                           reference=reference)
+    diff = _dense(execute(small_denoiser, update, init, obs)[1]) - reference.residuals
+    assert np.array_equal(report.errors, np.sqrt(np.einsum("btij,btij->bt", diff, diff)))
 
 
 # -- a leading episode axis on execute ------------------------------------------
@@ -295,7 +356,7 @@ def test_batched_execute_equals_row_by_row(small_denoiser, E, seed, density):
     inits, obss = _episodes(cfg, seed, E)
     mac = MacCounter()
     action, trace = execute(small_denoiser, update, inits, obss, mac=mac)
-    assert trace.residuals.shape == (E, 3 * cfg.layers, cfg.K, cfg.action_tokens, cfg.d_model)
+    assert trace.computed.shape == (E, update.sum(), cfg.action_tokens, cfg.d_model)
     states = [pre_block_states(small_denoiser, trace, inits, b) for b in blocks]
     assert states[0].shape == (E, cfg.K, cfg.action_tokens, cfg.d_model)
     row_macs = 0
@@ -304,7 +365,8 @@ def test_batched_execute_equals_row_by_row(small_denoiser, E, seed, density):
         want, row = execute(small_denoiser, update, inits[e], obss[e], mac=row_mac)
         row_macs += row_mac.count
         assert np.array_equal(action[e], want)
-        assert np.array_equal(trace.residuals[e], row.residuals)
+        assert np.array_equal(trace.computed[e], row.computed)
+        assert np.array_equal(trace.slot, row.slot)
         assert np.array_equal(trace.actions[e], row.actions)
         for block, state in zip(blocks, states):
             assert np.array_equal(state[e], pre_block_states(small_denoiser, row, inits[e], block))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,16 @@ from bac.bua import SchedulePlan
 from bac.config import DenoiserConfig
 from bac.denoiser import MacCounter, build_denoiser, denoise_full, execute, synth_episode
 from bac.engine import (
+    MEMORY_CAP_BYTES,
     block_cost,
+    check_memory,
     flops_estimate,
+    memory_estimate,
     overhead_per_step,
     run_cached,
     uniform_plan,
 )
-from bac.errors import BudgetError, ConsistencyError, DimensionError, PlanError
+from bac.errors import BudgetError, ConfigError, ConsistencyError, DimensionError, PlanError
 from bac.rng import derive_seed
 from bac.scheduler import Schedule
 
@@ -113,11 +118,11 @@ def test_mixed_plan_error_surface(small_denoiser, small_config, small_episode):
     assert np.array_equal(got, want)
     for block in canonical_blocks(small_config.layers):
         b = block.ordinal
+        feats = served.served(b)
         for t in range(small_config.K):
-            r = served.residuals[b, t]
-            dist = np.linalg.norm(r - reference.residuals[b, t])
+            dist = np.linalg.norm(feats[t] - reference.residuals[b, t])
             assert report.errors[b, t] == pytest.approx(dist, rel=1e-12, abs=0.0)
-            assert np.array_equal(r, served.residuals[b, report.provenance[b, t]])
+            assert np.array_equal(feats[t], feats[report.provenance[b, t]])
     assert report.errors[:, 5].any()
 
 
@@ -231,3 +236,73 @@ def test_instrumented_counter_matches_analytic(small_denoiser, small_config, sma
     mac = MacCounter()
     denoise_full(small_denoiser, init, obs, mac=mac)
     assert mac.count == flops_estimate(small_config, full_plan(small_config)).flops_full
+
+
+def test_cached_run_stores_each_computed_residual_once(default_denoiser, default_config):
+    """A uniform:10 run computes 240 residuals (4 KB each); a dense (3L, K, T, d)
+    buffer of its served residuals alone would take 9.8 MB."""
+    init, obs = synth_episode(default_config, derive_seed(7, 4))
+    _, ref = denoise_full(default_denoiser, init, obs)
+    plan = uniform_plan(100, 10, 8)
+    tracemalloc.start()
+    try:
+        run_cached(default_denoiser, plan, init, obs, reference=ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+    update = run_cached(default_denoiser, plan, init, obs, reference=ref)[1].update_mask
+    _, trace = execute(default_denoiser, update, init, obs)
+    assert update.sum() == 240
+    assert trace.computed.shape == (240, default_config.action_tokens, default_config.d_model)
+
+
+# -- the memory preflight ---------------------------------------------------------
+
+
+def _weight_arrays(den):
+    yield from (den.in_proj, den.obs_proj, den.out_proj, den.time_emb)
+    for lw in den.layers:
+        for att in (lw.sa, lw.ca):
+            yield from (att.wq, att.wk, att.wv, att.wo, att.gamma)
+        yield from (lw.ffn.w1, lw.ffn.b1, lw.ffn.w2, lw.ffn.b2, lw.ffn.gamma)
+
+
+def _trace_bytes(trace):
+    return trace.computed.nbytes + trace.actions.nbytes + trace.slot.nbytes
+
+
+def test_memory_estimate_counts_built_weights_and_traces(small_denoiser, small_config,
+                                                         small_episode, default_denoiser):
+    for den in (small_denoiser, default_denoiser):
+        assert memory_estimate(den.config) == sum(a.nbytes for a in _weight_arrays(den))
+    init, obs = small_episode
+    weights = memory_estimate(small_config)
+    _, full = denoise_full(small_denoiser, init, obs)
+    assert memory_estimate(small_config, full_traces=1) - weights == _trace_bytes(full)
+    plan = _plan(small_config, lambda b: (0, 3, 4) if b.kind == "CA" else (0,))
+    update = run_cached(small_denoiser, plan, init, obs, reference=full)[1].update_mask
+    _, cached = execute(small_denoiser, update, init, obs)
+    assert memory_estimate(small_config, plans=(plan,)) - weights == _trace_bytes(cached)
+    assert memory_estimate(small_config, 2, (plan, plan)) == (
+        weights + 2 * _trace_bytes(full) + 2 * _trace_bytes(cached))
+
+
+def test_memory_estimate_of_an_oversized_config_by_arithmetic():
+    """Nothing is built: about 862 GB of weights and a 31 TB full trace."""
+    cfg = DenoiserConfig(layers=400, d_model=4096, K=100_000)
+    d, d_ff, t, a = 4096, 4 * 4096, 8, 7
+    weights = 3 * a * d + 400 * (8 * d * d + 2 * d + 2 * d * d_ff + d_ff + 2 * d) + 100_000 * d
+    trace = 1200 * 100_000 * t * d + 100_000 * t * a + 1200 * 100_000
+    assert memory_estimate(cfg) == 8 * weights
+    assert 860e9 < 8 * weights < 863e9
+    estimate = memory_estimate(cfg, full_traces=1)
+    assert estimate == 8 * (weights + trace)
+    assert 31.4e12 < 8 * trace < 31.5e12
+    with pytest.raises(ConfigError, match=str(estimate)):
+        check_memory(cfg, full_traces=1)
+
+
+def test_default_config_is_far_below_the_cap(default_config):
+    assert memory_estimate(default_config, full_traces=10) < MEMORY_CAP_BYTES / 10
+    check_memory(default_config, full_traces=10)

@@ -12,7 +12,7 @@ from bac import fileio
 DATA = Path(__file__).parent / "data"
 from bac.blocks import KINDS, BlockId, canonical_blocks
 from bac.bua import SchedulePlan
-from bac.engine import run_cached, uniform_plan
+from bac.engine import FlopsBreakdown, RunReport, run_cached, uniform_plan
 from bac.errors import BacError, ConsistencyError, FormatError
 from bac.profiler import BlockStats, SimilarityProfile, profile_task
 from bac.scheduler import Schedule
@@ -350,6 +350,60 @@ def test_report_missing_mandatory_key():
 def test_report_malformed_line():
     with pytest.raises(FormatError):
         fileio.parse_report("flops_full 1\n")
+
+
+_INT_REPORT_KEYS = ("flops_full", "flops_cached", "decoder_flops_full", "decoder_flops_cached")
+
+
+@st.composite
+def reports(draw):
+    """A (report, layers, baseline) triple with arbitrary finite figures."""
+    layers, K = draw(st.integers(1, 3)), draw(st.integers(2, 8))
+    count = st.integers(0, 2**53)
+    real = st.floats(0.0, 1e300)
+
+    def one():
+        flops = FlopsBreakdown(draw(count), draw(count), draw(real), draw(count), draw(count),
+                               draw(real), draw(count), draw(count))
+        errors = np.array(draw(st.lists(st.floats(0.0, 1e6), min_size=3 * layers * K,
+                                        max_size=3 * layers * K))).reshape(3 * layers, K)
+        none = np.zeros((3 * layers, K), dtype=bool)
+        return RunReport(errors, none, none.astype(int), draw(real), flops)
+
+    return one(), layers, one() if draw(st.booleans()) else None
+
+
+@given(reports())
+@settings(max_examples=100, deadline=None)
+def test_report_dump_parse_is_stable(case):
+    report, layers, baseline = case
+    text = fileio.dump_report(report, layers, baseline)
+    values = fileio.parse_report(text)
+    lines = text.splitlines()
+    assert list(values) == [line.partition("=")[0] for line in lines]
+    for line in lines:
+        key, _, val = line.partition("=")
+        v = values[key]
+        assert val == (str(int(v)) if key.removeprefix("baseline_") in _INT_REPORT_KEYS
+                       else fileio.fmt_float(v))
+
+
+_report_line = st.one_of(
+    st.text(),
+    st.builds("{}={}".format,
+              st.sampled_from(fileio.MANDATORY_REPORT_KEYS + ("err.layers.0.SA", "", "x=y")),
+              _number),
+)
+
+
+@given(st.one_of(st.text(), st.lists(_report_line, max_size=8).map("\n".join),
+                 edited(reports().map(lambda c: fileio.dump_report(*c)), _report_line)))
+@settings(max_examples=300, deadline=None)
+def test_parse_report_raises_only_bac_errors(text):
+    try:
+        fileio.parse_report(text)
+    except BacError:
+        pass
 
 
 # -- CSV dumps ------------------------------------------------------------------------------

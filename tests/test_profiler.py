@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bac.blocks import BlockId
-from bac.denoiser import FeatureTrace, denoise_full, synth_episode
+from bac.denoiser import denoise_full, synth_episode
 from bac.errors import DegenerateFeatureError, RangeError
 from bac.fileio import dump_profile
 from bac.profiler import (
@@ -18,7 +18,7 @@ from bac.profiler import (
 )
 from bac.rng import derive_seed
 
-from conftest import make_trace
+from conftest import full_trace, make_trace
 
 B0 = BlockId(0, "SA")
 
@@ -31,8 +31,7 @@ def _cosine(a, b):
 
 def _stacked(trace, copies):
     """The trace repeated along a leading episode axis."""
-    return FeatureTrace(residuals=np.stack([trace.residuals] * copies),
-                        actions=np.stack([trace.actions] * copies))
+    return full_trace(np.stack([trace.residuals] * copies), np.stack([trace.actions] * copies))
 
 
 # -- consecutive similarities ---------------------------------------------------
