@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 usage, input or resource
 error (including running out of memory).  Every command that builds the
 denoiser first checks ``engine.memory_estimate`` of its weights and traces
-against ``engine.MEMORY_CAP_BYTES``.
+against ``engine.MEMORY_CAP_BYTES``; ``export remainder`` checks
+``errorlab.remainder_bytes`` of its random FFN the same way.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .blocks import parse_block_name
 from .bua import SchedulePlan, added_steps, bubble_union, select_upstream_blocks
 from .config import load_config
 from .denoiser import build_denoiser, denoise_full, synth_episode
-from .engine import check_memory, run_cached, uniform_plan
-from .errorlab import error_surge_experiment, random_ffn, verify_first_order
+from .engine import check_bytes, check_memory, run_cached, uniform_plan
+from .errorlab import error_surge_experiment, random_ffn, remainder_bytes, verify_first_order
 from .errors import BacError, ConsistencyError
 from . import fileio
 from .profiler import profile_task, similarity_matrices
@@ -233,6 +234,8 @@ def _cmd_export(args) -> int:
     if args.what == "remainder":
         if args.dim < 1:
             raise BacError(f"--dim must be at least 1, got {args.dim}")
+        check_bytes(remainder_bytes(args.dim), "feed-forward weights and LayerNorm operators",
+                    "use a smaller --dim")
         rng = np.random.default_rng(args.seed)
         params = random_ffn(rng, args.dim)
         x = rng.normal(size=args.dim)

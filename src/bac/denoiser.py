@@ -21,7 +21,17 @@ for about a quarter of elements.  On eight default-config episodes the final
 actions moved by at most 5e-13 relative, and the files of the README pipeline
 and of ``bac export`` stayed byte-identical.  LayerNorm, the causal mask and
 the ``execute`` loop are written for speed too, but keep the exact floating
-point operations of their plain forms, so they change no bits.
+point operations of their plain forms, so they change no bits: LayerNorm,
+softmax, GELU and the bias adds finish in their own temporaries (``out=``,
+``+=``, ``/=``), and the attention scale ``sqrt(d_head)`` is computed once per
+denoiser.
+
+The conditioning tokens are encoded once per run, so ``execute`` also
+projects each layer's cross-attention keys and values once (``cross_kv``)
+and a CA block projects only its queries.  The MAC count still charges the
+encoding at every step and the key and value projections at every CA call,
+as ``engine.flops_estimate`` does: the counts describe the per-step design
+of the model, not this loop's shortcut.
 
 The kernels take leading batch axes (``*lead, T, d``; MACs are per row), so
 ``execute`` runs E episodes as one batch, saving numpy's per-call dispatch on
@@ -40,7 +50,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,9 +68,23 @@ GELU_A = 0.044715
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
+    """Tanh-form GELU; ``x`` is left unchanged.
+
+    The chain runs in two arrays of its own with the operations of
+    ``0.5 * x * (1.0 + np.tanh(GELU_C * (x + GELU_A * (x * x * x))))``;
+    a product or sum whose operands swap places is the same IEEE result.
+    """
     # x * x * x, not x**3: numpy's power has no fast path for the exponent 3
-    inner = GELU_C * (x + GELU_A * (x * x * x))
-    return 0.5 * x * (1.0 + np.tanh(inner))
+    inner = x * x
+    inner *= x
+    inner *= GELU_A
+    inner += x
+    inner *= GELU_C
+    np.tanh(inner, out=inner)
+    inner += 1.0
+    out = 0.5 * x
+    out *= inner
+    return out
 
 
 def gelu_prime(x: np.ndarray) -> np.ndarray:
@@ -79,17 +103,23 @@ def layer_norm(h: np.ndarray, gamma: np.ndarray, eps: float = LN_EPS) -> np.ndar
     ``(h - h.mean(-1)) / sqrt(h.var(-1) + eps) * gamma`` bit for bit.
     """
     n = h.shape[-1]
-    c = h - h.sum(axis=-1, keepdims=True) / n
-    var = (c * c).sum(axis=-1, keepdims=True) / n
-    c /= np.sqrt(var + eps)
+    mean = h.sum(axis=-1, keepdims=True)
+    mean /= n
+    c = h - mean
+    var = (c * c).sum(axis=-1, keepdims=True)
+    var /= n
+    var += eps
+    c /= np.sqrt(var, out=var)
     c *= gamma
     return c
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, in one new array; ``x`` is left unchanged."""
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 class MacCounter:
@@ -141,6 +171,11 @@ class ToyDenoiser:
     out_proj: np.ndarray  # (d_model, action_dim)
     time_emb: np.ndarray  # (K, d_model)
     layers: tuple[LayerWeights, ...]
+    attn_scale: float = field(init=False)  # sqrt(d_head), the attention scores' divisor
+
+    def __post_init__(self):
+        cfg = self.config
+        object.__setattr__(self, "attn_scale", math.sqrt(cfg.d_model // cfg.heads))
 
 
 @dataclass(frozen=True)
@@ -267,65 +302,83 @@ def _causal_mask(t_q: int, t_kv: int) -> np.ndarray:
     return mask
 
 
-def _mha(
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(*lead, t, d) -> (*lead, heads, t, d // heads), a view."""
+    *lead, t, d = x.shape
+    return x.reshape(*lead, t, heads, d // heads).swapaxes(-3, -2)
+
+
+def _attend(
     x_q: np.ndarray,
-    x_kv: np.ndarray,
+    kh: np.ndarray,
+    vh: np.ndarray,
     w: AttentionWeights,
-    heads: int,
+    scale: float,
     causal: bool,
     mac: MacCounter | None,
 ) -> np.ndarray:
+    """Multi-head attention of ``x_q``'s queries over keys and values already
+    split into heads.  The MACs include the key and value projections, so a
+    call costs the same whether its keys were projected for it or not."""
     *lead, t_q, d = x_q.shape
-    t_kv = x_kv.shape[-2]
-    d_head = d // heads
-
-    q = x_q @ w.wq
-    k = x_kv @ w.wk
-    v = x_kv @ w.wv
-    if mac is not None:
-        rows = math.prod(lead)
-        mac.add(rows * (t_q * d * d + 2 * t_kv * d * d))
-
-    qh = q.reshape(*lead, t_q, heads, d_head).swapaxes(-3, -2)
-    kh = k.reshape(*lead, t_kv, heads, d_head).swapaxes(-3, -2)
-    vh = v.reshape(*lead, t_kv, heads, d_head).swapaxes(-3, -2)
-
-    scores = qh @ kh.swapaxes(-1, -2) / np.sqrt(d_head)
+    heads, t_kv = kh.shape[-3], kh.shape[-2]
+    scores = _split_heads(x_q @ w.wq, heads) @ kh.swapaxes(-1, -2)
+    scores /= scale
     if causal:
         np.copyto(scores, -np.inf, where=_causal_mask(t_q, t_kv))
-    weights = softmax(scores)
-    mixed = weights @ vh
-
-    merged = mixed.swapaxes(-3, -2).reshape(*lead, t_q, d)
-    out = merged @ w.wo
+    mixed = softmax(scores) @ vh
+    out = mixed.swapaxes(-3, -2).reshape(*lead, t_q, d) @ w.wo
     if mac is not None:
-        mac.add(rows * (2 * t_q * t_kv * d + t_q * d * d))
+        mac.add(math.prod(lead) * (2 * t_q * d * d + 2 * t_kv * d * d + 2 * t_q * t_kv * d))
     return out
+
+
+CrossKV = tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def cross_kv(denoiser: ToyDenoiser, tokens: np.ndarray) -> CrossKV:
+    """Each layer's cross-attention keys and values of the encoded tokens,
+    split into heads: one (keys, values) pair per layer.
+
+    The tokens stay fixed for a whole run, so ``execute`` projects them once
+    and every CA block call reads them.  They are charged to the calls, not
+    here (see ``_attend``)."""
+    heads = denoiser.config.heads
+    return tuple(
+        (_split_heads(tokens @ lw.ca.wk, heads), _split_heads(tokens @ lw.ca.wv, heads))
+        for lw in denoiser.layers
+    )
 
 
 def block_residual(
     denoiser: ToyDenoiser,
     block: BlockId,
     h: np.ndarray,
-    cond: np.ndarray,
+    cross: CrossKV,
     mac: MacCounter | None = None,
 ) -> np.ndarray:
     """Residual output of one block given the running hidden state.
 
-    This is the single compute path shared by full-precision and cached
-    execution, so a full update plan reproduces the reference bit for bit.
+    ``cross`` is ``cross_kv`` of the run's encoded tokens; only CA blocks
+    read it.  This is the single compute path shared by full-precision and
+    cached execution, so a full update plan reproduces the reference bit for
+    bit.
     """
     lw = denoiser.layers[block.layer]
-    heads = denoiser.config.heads
     if block.kind == "SA":
         x = layer_norm(h, lw.sa.gamma)
-        return _mha(x, x, lw.sa, heads, causal=True, mac=mac)
+        heads = denoiser.config.heads
+        kh, vh = _split_heads(x @ lw.sa.wk, heads), _split_heads(x @ lw.sa.wv, heads)
+        return _attend(x, kh, vh, lw.sa, denoiser.attn_scale, causal=True, mac=mac)
     if block.kind == "CA":
         x = layer_norm(h, lw.ca.gamma)
-        return _mha(x, cond, lw.ca, heads, causal=False, mac=mac)
+        kh, vh = cross[block.layer]
+        return _attend(x, kh, vh, lw.ca, denoiser.attn_scale, causal=False, mac=mac)
     x = layer_norm(h, lw.ffn.gamma)
-    u = x @ lw.ffn.w1 + lw.ffn.b1
-    out = gelu(u) @ lw.ffn.w2 + lw.ffn.b2
+    u = x @ lw.ffn.w1
+    u += lw.ffn.b1
+    out = gelu(u) @ lw.ffn.w2
+    out += lw.ffn.b2
     if mac is not None:
         mac.add(8 * x.size * x.shape[-1])
     return out
@@ -412,12 +465,12 @@ def execute(
     slots = slot.T.tolist()
     served: list[np.ndarray | None] = [None] * len(blocks)  # each block's last served residual
 
-    cond = encode_obs(denoiser, obs, mac)
+    cross = cross_kv(denoiser, encode_obs(denoiser, obs, mac))
     for t, (row, at) in enumerate(zip(steps, slots)):
         h = embed_action(denoiser, action, t, mac)  # a fresh array, so += is safe
         for i, block in enumerate(blocks):
             if row[i]:
-                served[i] = by_slot[at[i]] = block_residual(denoiser, block, h, cond, mac)
+                served[i] = by_slot[at[i]] = block_residual(denoiser, block, h, cross, mac)
             h += served[i]
         action = project_action(denoiser, h, mac)
         actions[..., t, :, :] = action
@@ -438,11 +491,13 @@ def pre_block_states(
     action (``init_noise`` at step 0), then each served residual of the blocks
     before ``block``.  So it equals what the loop fed the block, bit for bit.
     Shape (K, T, d_model), with the trace's leading episode axis if it has one.
+    A full trace's residuals are added as views, a cached one's as gathers.
     """
     prev = [np.asarray(init_noise, dtype=np.float64), *np.moveaxis(trace.actions, -3, 0)[:-1]]
     h = np.stack([embed_action(denoiser, a, t) for t, a in enumerate(prev)], axis=-3)
+    dense = trace.residuals if trace.is_full else None
     for i in range(block.ordinal):
-        h += trace.served(i)
+        h += trace.served(i) if dense is None else dense[..., i, :, :, :]
     return h
 
 

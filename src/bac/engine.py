@@ -20,6 +20,12 @@ Cost model (multiply-accumulates, elementwise ops free):
     output projection T*d*a
     reuse: charged T*d per reused block (the residual add)
 
+The conditioning enters the count at every step: the observation encoding
+in the overhead, and the key and value projections of the tokens (2*Tc*d^2)
+in every CA call.  ``denoiser.execute`` computes both once per run, since
+the tokens do not change across steps, and still charges them per step, so
+the counts stay those of the model's per-step design.
+
 flops_full counts every block at every step; flops_cached zeroes skipped
 blocks and adds the reuse charges.  Decoder-only figures exclude both the
 overhead and the reuse charges, so a uniform plan with |C| = S gives a
@@ -164,16 +170,21 @@ def memory_estimate(
     return 8 * (weights + full_traces * trace(n * K) + sum(trace(u) for u in updates))
 
 
+def check_bytes(estimate: int, held: str, advice: str) -> None:
+    """Raise ``ConfigError`` naming the cap if ``estimate`` bytes of ``held``
+    exceed ``MEMORY_CAP_BYTES``."""
+    if estimate > MEMORY_CAP_BYTES:
+        raise ConfigError(
+            f"this command would hold about {estimate / 1e9:.3g} GB ({estimate} bytes of "
+            f"{held}), above the cap of {MEMORY_CAP_BYTES} bytes; {advice}")
+
+
 def check_memory(
     config: DenoiserConfig, full_traces: int = 0, plans: tuple[SchedulePlan, ...] = ()
 ) -> None:
     """Raise ``ConfigError`` if ``memory_estimate`` exceeds ``MEMORY_CAP_BYTES``."""
-    estimate = memory_estimate(config, full_traces, plans)
-    if estimate > MEMORY_CAP_BYTES:
-        raise ConfigError(
-            f"this command would hold about {estimate / 1e9:.3g} GB ({estimate} bytes of "
-            f"weights and traces), above the cap of {MEMORY_CAP_BYTES} bytes; use a "
-            f"smaller config or fewer episodes")
+    check_bytes(memory_estimate(config, full_traces, plans), "weights and traces",
+                "use a smaller config or fewer episodes")
 
 
 def run_cached(

@@ -85,6 +85,16 @@ def random_ffn(rng: np.random.Generator, d: int) -> FfnParams:
     )
 
 
+def remainder_bytes(d: int) -> int:
+    """Bytes the remainder curve of a width-d ``random_ffn`` holds, by arithmetic alone.
+
+    The FFN holds w1 and w2 (8 d^2 floats) plus b1, b2 and gamma (6 d), and
+    ``linear_response`` the LayerNorm operators A and B (2 d^2).  Temporaries
+    are not counted.
+    """
+    return 8 * (10 * d * d + 6 * d)
+
+
 @dataclass(frozen=True)
 class LnStats:
     """Mean and population standard deviation of one feature vector."""
@@ -267,10 +277,10 @@ def error_surge_experiment(
 
     betas = np.asarray(list(betas), dtype=np.float64)
     x_ref, deviation = x_ref[:, beta_step], deviations[:, beta_step]
-    cond = np.zeros((cfg.cond_tokens, cfg.d_model))  # unused by FFN blocks
-    base = block_residual(denoiser, downstream, x_ref, cond)
+    cross = ()  # FFN blocks read no cross-attention keys
+    base = block_residual(denoiser, downstream, x_ref, cross)
     beta_errors = np.stack([
-        _norms(block_residual(denoiser, downstream, x_ref + beta * deviation, cond) - base)
+        _norms(block_residual(denoiser, downstream, x_ref + beta * deviation, cross) - base)
         for beta in betas
     ], axis=1)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bac import fileio
+from bac import errorlab, fileio
 from bac.blocks import canonical_blocks
 from bac.cli import main
 from bac.config import DenoiserConfig, parse_config_text
@@ -290,6 +290,36 @@ def test_export_remainder_rejects_nonpositive_dim(workspace, capsys, dim):
                    "--out", out) == 2
     assert "--dim" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_remainder_bytes_counts_the_ffn_and_both_operators():
+    d = 16
+    params = errorlab.random_ffn(np.random.default_rng(0), d)
+    a_op, b_op = errorlab.ln_operators(np.linspace(-1.0, 1.0, d), params.gamma)
+    held = (params.w1, params.b1, params.w2, params.b2, params.gamma, a_op, b_op)
+    assert errorlab.remainder_bytes(d) == sum(arr.nbytes for arr in held)
+
+
+def test_export_remainder_refuses_above_the_cap_before_drawing(workspace, capsys,
+                                                                monkeypatch):
+    tmp, _ = workspace
+    out = tmp / "r.csv"
+    estimate = errorlab.remainder_bytes(16)
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("drew the random FFN above the memory cap")
+
+    monkeypatch.setattr("bac.cli.random_ffn", never)
+    monkeypatch.setattr("bac.engine.MEMORY_CAP_BYTES", estimate - 1)
+    assert run_cli("export", "--what", "remainder", "--dim", 16, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"({estimate} bytes" in err
+    assert f"cap of {estimate - 1} bytes" in err and "--dim" in err
+    assert not out.exists()
+
+    monkeypatch.undo()
+    monkeypatch.setattr("bac.engine.MEMORY_CAP_BYTES", estimate)
+    assert run_cli("export", "--what", "remainder", "--dim", 16, "--out", out) == 0
 
 
 def test_out_of_memory_exits_two(workspace, capsys, monkeypatch):

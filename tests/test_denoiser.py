@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -9,11 +11,16 @@ from hypothesis.extra.numpy import arrays
 from bac.blocks import BlockId, canonical_blocks
 from bac.config import DenoiserConfig
 from bac.denoiser import (
+    GELU_A,
+    GELU_C,
+    FeatureTrace,
     MacCounter,
+    _attend,
     _causal_mask,
-    _mha,
+    _split_heads,
     block_residual,
     build_denoiser,
+    cross_kv,
     denoise_full,
     embed_action,
     encode_obs,
@@ -23,11 +30,12 @@ from bac.denoiser import (
     layer_norm,
     pre_block_states,
     project_action,
+    softmax,
     synth_episode,
     weight_checksum,
 )
 from bac.bua import SchedulePlan
-from bac.engine import run_cached, uniform_plan
+from bac.engine import flops_estimate, run_cached, uniform_plan
 from bac.errors import ConfigError, DimensionError
 from bac.profiler import profile_task
 from bac.rng import derive_seed
@@ -166,7 +174,9 @@ def _two_pass_layer_norm(h, gamma, eps=1e-5):
 def test_layer_norm_equals_two_pass_form_bitwise(h, offset, gain):
     h = h + offset
     gamma = gain * np.linspace(0.5, 1.5, h.shape[1])
+    before = h.copy()
     assert np.array_equal(layer_norm(h, gamma), _two_pass_layer_norm(h, gamma))
+    assert np.array_equal(h, before)
 
 
 def _fresh_mask_mha(x, w, heads):
@@ -190,8 +200,9 @@ def test_causal_attention_with_cached_mask_matches_fresh_mask(default_denoiser, 
     sa = default_denoiser.layers[3].sa
     heads = default_denoiser.config.heads
     x = rng.standard_normal((tokens, default_denoiser.config.d_model))
+    kh, vh = _split_heads(x @ sa.wk, heads), _split_heads(x @ sa.wv, heads)
     for _ in range(2):  # the second call reads the cached mask
-        got = _mha(x, x, sa, heads, causal=True, mac=None)
+        got = _attend(x, kh, vh, sa, default_denoiser.attn_scale, causal=True, mac=None)
         assert np.array_equal(got, _fresh_mask_mha(x, sa, heads))
     assert not _causal_mask(tokens, tokens).flags.writeable
 
@@ -199,38 +210,45 @@ def test_causal_attention_with_cached_mask_matches_fresh_mask(default_denoiser, 
 # -- the execute loop against its per-block oracle ---------------------------------
 
 
-def _execute_loop(denoiser, update, init_noise, obs, mac=None, capture=None):
+def _execute_loop(denoiser, update, init_noise, obs, mac=None, capture=None, residual=None):
     """Exact-parity oracle: ``execute`` as one indexed write and one fresh sum
     per (block, step), charging each reuse as it happens.
 
     It calls the same block, embedding and projection functions, so its
-    results must equal ``execute``'s bit for bit.  It also records the hidden
-    state entering each (block, step) named in ``capture``, which
-    ``pre_block_states`` must reproduce from the served trace.
+    results must equal ``execute``'s bit for bit; it encodes the observation
+    and projects the cross-attention keys at every step.  ``residual``, when
+    given, replaces ``block_residual`` and is passed the encoded tokens.  The
+    loop also records the hidden state entering each (block, step) named in
+    ``capture``, which ``pre_block_states`` must reproduce from the served
+    trace.  ``init_noise`` and ``obs`` may carry a leading episode axis.
     """
     cfg = denoiser.config
     action = np.asarray(init_noise, dtype=np.float64)
+    lead = action.shape[:-2]
     blocks = canonical_blocks(cfg.layers)
-    residuals = np.empty((len(blocks), cfg.K, cfg.action_tokens, cfg.d_model))
-    actions = np.empty((cfg.K, cfg.action_tokens, cfg.action_dim))
+    residuals = np.empty((*lead, len(blocks), cfg.K, cfg.action_tokens, cfg.d_model))
+    actions = np.empty((*lead, cfg.K, cfg.action_tokens, cfg.action_dim))
     wanted = set(capture) if capture is not None else None
     captured = {}
     for t in range(cfg.K):
         cond = encode_obs(denoiser, obs, mac)
+        if residual is None:
+            cond = cross_kv(denoiser, cond)
         h = embed_action(denoiser, action, t, mac)
         for block in blocks:
             i = block.ordinal
             if wanted is not None and (block, t) in wanted:
                 captured[(block, t)] = h.copy()
             if update[i, t]:
-                residuals[i, t] = block_residual(denoiser, block, h, cond, mac)
+                residuals[..., i, t, :, :] = (residual or block_residual)(
+                    denoiser, block, h, cond, mac)
             else:
-                residuals[i, t] = residuals[i, t - 1]
+                residuals[..., i, t, :, :] = residuals[..., i, t - 1, :, :]
                 if mac is not None:
-                    mac.add(cfg.action_tokens * cfg.d_model)
-            h = h + residuals[i, t]
+                    mac.add(math.prod(lead) * cfg.action_tokens * cfg.d_model)
+            h = h + residuals[..., i, t, :, :]
         action = project_action(denoiser, h, mac)
-        actions[t] = action
+        actions[..., t, :, :] = action
     return action, residuals, actions, captured if wanted is not None else None
 
 
@@ -286,6 +304,133 @@ def test_execute_matches_per_block_oracle(default_denoiser, default_config, exec
             states = pre_block_states(default_denoiser, trace, init, block)
             for t, state in enumerate(states):
                 assert np.array_equal(state, want_captured[(block, t)])
+
+
+# -- the block kernels against their plain per-call formulas -----------------------
+
+
+def _plain_softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _plain_gelu(x):
+    inner = GELU_C * (x + GELU_A * (x * x * x))
+    return 0.5 * x * (1.0 + np.tanh(inner))
+
+
+def _plain_attention(x_q, x_kv, w, heads, causal, mac):
+    """Separate Q, K and V projections of their inputs at every call."""
+    *lead, t_q, d = x_q.shape
+    t_kv = x_kv.shape[-2]
+    d_head = d // heads
+    q = x_q @ w.wq
+    k = x_kv @ w.wk
+    v = x_kv @ w.wv
+    qh = q.reshape(*lead, t_q, heads, d_head).swapaxes(-3, -2)
+    kh = k.reshape(*lead, t_kv, heads, d_head).swapaxes(-3, -2)
+    vh = v.reshape(*lead, t_kv, heads, d_head).swapaxes(-3, -2)
+    scores = qh @ kh.swapaxes(-1, -2) / np.sqrt(d_head)
+    if causal:
+        scores[..., np.triu(np.ones((t_q, t_kv), dtype=bool), k=1)] = -np.inf
+    mixed = _plain_softmax(scores) @ vh
+    out = mixed.swapaxes(-3, -2).reshape(*lead, t_q, d) @ w.wo
+    if mac is not None:
+        mac.add(math.prod(lead) * (t_q * d * d + 2 * t_kv * d * d + 2 * t_q * t_kv * d + t_q * d * d))
+    return out
+
+
+def _plain_block_residual(denoiser, block, h, tokens, mac=None):
+    """The block kernels in plain per-call form: every temporary a new array,
+    and the cross-attention keys and values projected from the tokens."""
+    lw = denoiser.layers[block.layer]
+    heads = denoiser.config.heads
+    if block.kind == "SA":
+        x = _two_pass_layer_norm(h, lw.sa.gamma)
+        return _plain_attention(x, x, lw.sa, heads, True, mac)
+    if block.kind == "CA":
+        x = _two_pass_layer_norm(h, lw.ca.gamma)
+        return _plain_attention(x, tokens, lw.ca, heads, False, mac)
+    x = _two_pass_layer_norm(h, lw.ffn.gamma)
+    out = _plain_gelu(x @ lw.ffn.w1 + lw.ffn.b1) @ lw.ffn.w2 + lw.ffn.b2
+    if mac is not None:
+        mac.add(8 * x.size * x.shape[-1])
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _default_with_heads(heads):
+    return build_denoiser(dataclasses.replace(DenoiserConfig(), heads=heads))
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["full", "uniform10"])
+@pytest.mark.parametrize("E", [1, 3])
+@pytest.mark.parametrize("heads", [2, 4, 8])
+def test_execute_equals_plain_kernel_loop(heads, E, cached):
+    den = _default_with_heads(heads)
+    cfg = den.config
+    plan = uniform_plan(cfg.K, 10 if cached else cfg.K, cfg.layers)
+    update = np.zeros((3 * cfg.layers, cfg.K), dtype=bool)
+    for block in canonical_blocks(cfg.layers):
+        update[block.ordinal, list(plan.schedule(block).steps)] = True
+    if E == 1:  # one unbatched episode
+        init, obs = synth_episode(cfg, derive_seed(11, heads))
+    else:
+        init, obs = _episodes(cfg, 11 + heads, E)
+    mac, oracle_mac = MacCounter(), MacCounter()
+    action, trace = execute(den, update, init, obs, mac=mac)
+    want_action, want_residuals, want_actions, _ = _execute_loop(
+        den, update, init, obs, mac=oracle_mac, residual=_plain_block_residual)
+    assert np.array_equal(action, want_action)
+    assert np.array_equal(_dense(trace), want_residuals)
+    assert np.array_equal(trace.actions, want_actions)
+    flops = flops_estimate(cfg, plan)
+    assert mac.count == oracle_mac.count == E * (flops.flops_cached if cached else flops.flops_full)
+
+
+_KERNEL_INPUTS = arrays(
+    np.float64, st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 70)),
+    elements=st.floats(-1e3, 1e3))
+
+
+@given(_KERNEL_INPUTS, st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_softmax_equals_plain_form_bitwise(x, seed):
+    # some keys masked as in causal attention; the first of each row stays
+    masked = np.random.default_rng(seed).random(x.shape) < 0.3
+    masked[..., 0] = False
+    x[masked] = -np.inf
+    before = x.copy()
+    assert np.array_equal(softmax(x), _plain_softmax(x))
+    assert np.array_equal(x, before)
+
+
+@given(_KERNEL_INPUTS, st.sampled_from([1.0, 1e-3, 1e3]))
+@settings(max_examples=80, deadline=None)
+def test_gelu_equals_plain_form_bitwise_and_keeps_its_input(x, scale):
+    x = x * scale
+    before = x.copy()
+    assert np.array_equal(gelu(x), _plain_gelu(x))
+    assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("E", [None, 2])
+def test_pre_block_states_views_equal_gathers(small_denoiser, small_config, monkeypatch, E):
+    if E is None:
+        init, obs = synth_episode(small_config, 21)
+    else:
+        init, obs = _episodes(small_config, 21, E)
+    _, trace = denoise_full(small_denoiser, init, obs)
+    computed = trace.computed.copy()
+    blocks = canonical_blocks(small_config.layers)
+    views = [pre_block_states(small_denoiser, trace, init, b) for b in blocks]
+    # the cached-trace path: one served() gather per upstream block
+    monkeypatch.setattr(FeatureTrace, "is_full", property(lambda self: False))
+    gathers = [pre_block_states(small_denoiser, trace, init, b) for b in blocks]
+    for view, gather in zip(views, gathers):
+        assert np.array_equal(view, gather)
+    assert np.array_equal(trace.computed, computed)
 
 
 # -- the compact trace: each computed residual once, plus the slot it serves ----
