@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage, input or resource
 error (including running out of memory).  Every command that builds the
-denoiser first checks ``engine.memory_estimate`` of its weights and traces
-against ``engine.MEMORY_CAP_BYTES``; ``export remainder`` checks
-``errorlab.remainder_bytes`` of its random FFN the same way.
+denoiser first checks ``engine.memory_estimate`` of its weights, traces and
+attention scores against ``engine.MEMORY_CAP_BYTES``; ``export remainder``
+checks ``errorlab.remainder_bytes`` of its random FFN the same way.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import BacError, ConsistencyError
 from . import fileio
 from .profiler import profile_task, similarity_matrices
 from .rng import derive_seed
-from .scheduler import solve_schedule, solve_schedule_anchored
+from .scheduler import check_budget, solve_schedule, solve_schedule_anchored
 from .verify import run_all
 
 
@@ -131,6 +131,7 @@ def _cmd_schedule(args) -> int:
             raise ConsistencyError(
                 f"config layers={config.layers} != profile layers={profile.layer_count}"
             )
+        check_budget(args.budget, config.K)
         check_memory(config, full_traces=args.episodes)
         matrices = similarity_matrices(build_denoiser(config), args.episodes, args.seed)
         schedules = {
@@ -212,10 +213,10 @@ def _cmd_export(args) -> int:
             raise BacError("simmatrix export needs --config and --block")
         config = load_config(args.config)
         block = parse_block_name(args.block)
+        if block.layer >= config.layers:
+            raise BacError(f"no block {block.name} in this {config.layers}-layer architecture")
         check_memory(config, full_traces=args.episodes)
         matrices = similarity_matrices(build_denoiser(config), args.episodes, args.seed)
-        if block not in matrices:
-            raise BacError(f"no block {block.name} in this architecture")
         fileio.write_matrix_csv(matrices[block], args.out)
         return 0
 

@@ -14,6 +14,10 @@ Timesteps run in execution order t = 0..K-1; conditioning enters twice, as an
 additive sinusoidal timestep embedding on the token stream and as encoded
 observation tokens consumed by cross-attention.
 
+``FfnWeights`` and ``mlp`` are the one feed-forward type and computation: the
+FFN block runs ``mlp`` after its LayerNorm, and the first-order error lab
+(``errorlab``) runs it after an eps-free LayerNorm on its own random weights.
+
 The GELU computes its cube as ``x * x * x`` rather than ``x**3``: numpy's
 power has no fast path for the exponent 3, and the power form took about two
 thirds of a feed-forward block's time.  The two forms differ in the last ulp
@@ -149,11 +153,19 @@ class AttentionWeights:
 
 @dataclass(frozen=True)
 class FfnWeights:
+    """Feed-forward weights; w1 maps d -> d_ff as ``x @ w1``, gamma is the LayerNorm gain."""
+
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
     gamma: np.ndarray
+
+    def __post_init__(self):
+        d, d_ff = self.w1.shape
+        if self.w2.shape != (d_ff, d) or self.b1.shape != (d_ff,) \
+                or self.b2.shape != (d,) or self.gamma.shape != (d,):
+            raise DimensionError("inconsistent feed-forward parameter shapes")
 
 
 @dataclass(frozen=True)
@@ -350,6 +362,17 @@ def cross_kv(denoiser: ToyDenoiser, tokens: np.ndarray) -> CrossKV:
     )
 
 
+def mlp(ffn: FfnWeights, x: np.ndarray) -> np.ndarray:
+    """``gelu(x @ w1 + b1) @ w2 + b2`` over the last axis of the normalized
+    input ``x``, the bias adds in place.  The FFN block and the error lab's
+    feed-forward map both run it."""
+    u = x @ ffn.w1
+    u += ffn.b1
+    out = gelu(u) @ ffn.w2
+    out += ffn.b2
+    return out
+
+
 def block_residual(
     denoiser: ToyDenoiser,
     block: BlockId,
@@ -375,10 +398,7 @@ def block_residual(
         kh, vh = cross[block.layer]
         return _attend(x, kh, vh, lw.ca, denoiser.attn_scale, causal=False, mac=mac)
     x = layer_norm(h, lw.ffn.gamma)
-    u = x @ lw.ffn.w1
-    u += lw.ffn.b1
-    out = gelu(u) @ lw.ffn.w2
-    out += lw.ffn.b2
+    out = mlp(lw.ffn, x)
     if mac is not None:
         mac.add(8 * x.size * x.shape[-1])
     return out

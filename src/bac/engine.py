@@ -41,9 +41,9 @@ import numpy as np
 from .blocks import BlockId, canonical_blocks
 from .config import DenoiserConfig
 from .denoiser import FeatureTrace, MacCounter, ToyDenoiser, denoise_full, execute
-from .errors import BudgetError, ConfigError, ConsistencyError, DimensionError, PlanError
+from .errors import ConfigError, ConsistencyError, DimensionError, PlanError
 from .bua import SchedulePlan
-from .scheduler import Schedule
+from .scheduler import Schedule, check_budget
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,7 @@ def overhead_per_step(config: DenoiserConfig) -> int:
 
 def uniform_plan(K: int, budget_S: int, layers: int) -> SchedulePlan:
     """Evenly spaced shared schedule: the standard caching baseline."""
-    if not 1 <= budget_S <= K:
-        raise BudgetError(f"budget {budget_S} outside [1, {K}]")
+    check_budget(budget_S, K)
     # floor(x + 0.5) rounding keeps the step set portable across languages
     steps = tuple(
         sorted({min(K - 1, int(np.floor(i * K / budget_S + 0.5))) for i in range(budget_S)})
@@ -150,24 +149,32 @@ MEMORY_CAP_BYTES = 2 * 1024**3
 def memory_estimate(
     config: DenoiserConfig, full_traces: int = 0, plans: tuple[SchedulePlan, ...] = ()
 ) -> int:
-    """Bytes of the weights plus the traces a command holds, by arithmetic alone.
+    """Bytes of the weights, the traces and the attention scores a command
+    holds, by arithmetic alone.
 
     The weights include the timestep table.  A trace holds one T x d_model
     float64 residual per update, the K actions and the (3L, K) slot index: a
     full pass updates all 3L x K (block, step) pairs, a cached run of a plan
-    updates its schedules' steps.  Temporaries of the forward loop and of the
-    statistics are not counted.
+    updates its schedules' steps.  A command that runs the denoiser also holds,
+    during one attention call, its scores and their softmax: two
+    (E, heads, T, max(T, Tc)) arrays, quadratic in T.  E is the number of full
+    traces, which run as one batch (the profile's episodes do; for the two
+    passes of ``export beta``, which run one after the other, this is an upper
+    bound), or one episode when only cached runs are counted.  Other
+    temporaries of the forward loop and of the statistics are not counted.
     """
     t, d, a, K = config.action_tokens, config.d_model, config.action_dim, config.K
     d_ff, n = config.d_ff, 3 * config.layers
     per_layer = 8 * d * d + 2 * d + (2 * d * d_ff + d_ff + 2 * d)  # SA, CA, FFN
     weights = 3 * a * d + config.layers * per_layer + K * d
+    rows = full_traces or (1 if plans else 0)
+    scores = 2 * rows * config.heads * t * max(t, config.cond_tokens)
 
     def trace(updates: int) -> int:
         return updates * t * d + K * t * a + n * K
 
     updates = [sum(len(p.schedule(b)) for b in canonical_blocks(p.layers)) for p in plans]
-    return 8 * (weights + full_traces * trace(n * K) + sum(trace(u) for u in updates))
+    return 8 * (weights + scores + full_traces * trace(n * K) + sum(trace(u) for u in updates))
 
 
 def check_bytes(estimate: int, held: str, advice: str) -> None:
@@ -183,8 +190,8 @@ def check_memory(
     config: DenoiserConfig, full_traces: int = 0, plans: tuple[SchedulePlan, ...] = ()
 ) -> None:
     """Raise ``ConfigError`` if ``memory_estimate`` exceeds ``MEMORY_CAP_BYTES``."""
-    check_bytes(memory_estimate(config, full_traces, plans), "weights and traces",
-                "use a smaller config or fewer episodes")
+    check_bytes(memory_estimate(config, full_traces, plans),
+                "weights, traces and attention scores", "use a smaller config or fewer episodes")
 
 
 def run_cached(

@@ -12,12 +12,19 @@ where A - B is the LayerNorm Jacobian at x:
     B = diag(gamma) (x - mu 1)(x - mu 1)^T / (d sigma^3)
 
 sigma uses the population variance (divide by d) and must stay above a floor
-for the closed forms to be meaningful.  The lab verifies the Jacobian against
-central finite differences, checks that the Taylor remainder shrinks
-quadratically, and reproduces the inter-block error-propagation experiments on
-the toy denoiser: a frozen upstream block's staleness should track the
-downstream feed-forward block's recomputation error across timesteps, and
-scaling the injected input error should scale the output error.
+for the closed forms to be meaningful.
+
+The feed-forward block is the denoiser's own: ``denoiser.FfnWeights`` holds
+its weights and ``denoiser.mlp`` computes it, with phi the tanh-form GELU.
+Only the LayerNorm differs: ``ln_eps_free`` has no eps, so the Jacobian above
+is exact.
+
+The lab verifies the Jacobian against central finite differences, checks
+that the Taylor remainder shrinks quadratically, and reproduces the
+inter-block error-propagation experiments on the toy denoiser: a frozen
+upstream block's staleness should track the downstream feed-forward block's
+recomputation error across timesteps, and scaling the injected input error
+should scale the output error.
 """
 
 from __future__ import annotations
@@ -29,12 +36,14 @@ import numpy as np
 
 from .blocks import BlockId
 from .denoiser import (
+    FfnWeights,
+    FfnWeights as FfnParams,  # noqa: F401  the lab's name for it, kept for importers
     ToyDenoiser,
     block_residual,
     denoise_full,
     execute,
-    gelu,
     gelu_prime,
+    mlp,
     pre_block_states,
     synth_episode,
 )
@@ -43,40 +52,11 @@ from .rng import derive_seed
 
 SIGMA_MIN = 1e-6
 
-_ACTIVATIONS = {
-    "gelu": (gelu, gelu_prime),
-    "identity": (lambda x: x, lambda x: np.ones_like(x)),
-}
 
-
-@dataclass(frozen=True)
-class FfnParams:
-    """Standalone feed-forward parameters; w1 maps d -> d_ff as ``x @ w1``."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    gamma: np.ndarray
-    activation: str = "gelu"
-
-    def __post_init__(self):
-        d, d_ff = self.w1.shape
-        if self.w2.shape != (d_ff, d) or self.b1.shape != (d_ff,) \
-                or self.b2.shape != (d,) or self.gamma.shape != (d,):
-            raise DimensionError("inconsistent feed-forward parameter shapes")
-        if self.activation not in _ACTIVATIONS:
-            raise DimensionError(f"unknown activation {self.activation!r}")
-
-    @property
-    def act(self):
-        return _ACTIVATIONS[self.activation]
-
-
-def random_ffn(rng: np.random.Generator, d: int) -> FfnParams:
+def random_ffn(rng: np.random.Generator, d: int) -> FfnWeights:
     """A random GELU FFN with d_ff = 4d, drawn from ``rng`` as w1, b1, w2, b2, gamma."""
     d_ff = 4 * d
-    return FfnParams(
+    return FfnWeights(
         w1=rng.normal(size=(d, d_ff)) / np.sqrt(d),
         b1=rng.normal(size=d_ff) * 0.1,
         w2=rng.normal(size=(d_ff, d)) / np.sqrt(d_ff),
@@ -120,11 +100,10 @@ def ln_eps_free(x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return gamma * (x - stats.mu) / stats.sigma
 
 
-def ffn_apply(params: FfnParams, x: np.ndarray) -> np.ndarray:
-    """The lab's FFN on one feature vector (eps-free LayerNorm)."""
-    act, _ = params.act
-    u = ln_eps_free(x, params.gamma) @ params.w1 + params.b1
-    return act(u) @ params.w2 + params.b2
+def ffn_apply(params: FfnWeights, x: np.ndarray) -> np.ndarray:
+    """The denoiser's feed-forward map (``mlp``) on one feature vector, after
+    the eps-free LayerNorm."""
+    return mlp(params, ln_eps_free(x, params.gamma))
 
 
 def ln_operators(x: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,17 +120,16 @@ def ln_operators(x: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return a_op, b_op
 
 
-def linear_response(params: FfnParams, x: np.ndarray, delta: np.ndarray) -> np.ndarray:
+def linear_response(params: FfnWeights, x: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """First-order output perturbation f(delta) of the FFN at x."""
     x = np.asarray(x, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
     if delta.shape != x.shape:
         raise DimensionError("delta must match x")
     a_op, b_op = ln_operators(x, params.gamma)
-    _, act_prime = params.act
     u = ln_eps_free(x, params.gamma) @ params.w1 + params.b1
     propagated = ((a_op - b_op) @ delta) @ params.w1
-    return (act_prime(u) * propagated) @ params.w2
+    return (gelu_prime(u) * propagated) @ params.w2
 
 
 @dataclass(frozen=True)
@@ -162,7 +140,7 @@ class RemainderCurve:
 
 
 def verify_first_order(
-    params: FfnParams,
+    params: FfnWeights,
     x: np.ndarray,
     delta: np.ndarray,
     scales: Sequence[float],

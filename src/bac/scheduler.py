@@ -99,12 +99,17 @@ def _validate_similarities(s) -> np.ndarray:
     return s
 
 
+def check_budget(budget_S: int, K: int) -> None:
+    """Raise ``BudgetError`` unless 1 <= budget_S <= K."""
+    if not 1 <= budget_S <= K:
+        raise BudgetError(f"budget {budget_S} outside [1, {K}]")
+
+
 def _validate_problem(s, K: int, budget_S: int) -> np.ndarray:
     s = _validate_similarities(s)
     if K != len(s) + 1:
         raise ScheduleError(f"K={K} inconsistent with len(s)={len(s)}")
-    if not 1 <= budget_S <= K:
-        raise BudgetError(f"budget {budget_S} outside [1, {K}]")
+    check_budget(budget_S, K)
     return s
 
 
@@ -172,8 +177,7 @@ def _validate_matrix(sim) -> np.ndarray:
 def _anchored_problem(sim, budget_S: int) -> np.ndarray:
     """Row prefix of a validated matrix, once the budget fits its horizon."""
     sim = _validate_matrix(sim)
-    if not 1 <= budget_S <= len(sim):
-        raise BudgetError(f"budget {budget_S} outside [1, {len(sim)}]")
+    check_budget(budget_S, len(sim))
     return np.cumsum(sim, axis=1)
 
 

@@ -13,9 +13,9 @@ import numpy as np
 from .blocks import BlockId, canonical_blocks
 from .bua import SchedulePlan, bubble_union, downstream_ffns
 from .config import DenoiserConfig
-from .denoiser import build_denoiser, denoise_full, synth_episode
+from .denoiser import FfnWeights, build_denoiser, denoise_full, synth_episode
 from .engine import run_cached
-from .errorlab import FfnParams, linear_response, ln_operators, random_ffn, verify_first_order
+from .errorlab import linear_response, ln_operators, random_ffn, verify_first_order
 from .rng import derive_seed
 from .scheduler import (
     Schedule,
@@ -116,7 +116,7 @@ def check_linear_response_suite(seed: int = 77) -> Check:
         x = rng.normal(size=2)
         if abs(x[0] - x[1]) < 1e-3:
             continue
-        params = FfnParams(
+        params = FfnWeights(
             w1=rng.normal(size=(2, 8)),
             b1=np.zeros(8),
             w2=rng.normal(size=(8, 2)),

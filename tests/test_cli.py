@@ -128,6 +128,39 @@ def test_schedule_anchored_rejects_layer_mismatch(workspace, monkeypatch, capsys
     assert not sched.exists()
 
 
+@pytest.mark.parametrize("budget", [0, 13])
+def test_schedule_anchored_rejects_budget_before_matrices(workspace, monkeypatch, capsys,
+                                                         budget):
+    tmp, cfg = workspace
+    prof, sched = tmp / "p.bacprof", tmp / "s.bacsched"
+    run_cli("profile", "--config", cfg, "--seed", 1, "--out", prof)
+
+    def no_matrices(*args, **kwargs):
+        raise AssertionError("similarity matrices built before the budget check")
+
+    monkeypatch.setattr("bac.cli.similarity_matrices", no_matrices)
+    capsys.readouterr()
+    assert run_cli("schedule", "--profile", prof, "--budget", budget, "--anchored",
+                   "--config", cfg, "--seed", 1, "--out", sched) == 2
+    assert f"budget {budget} outside [1, 12]" in capsys.readouterr().err
+    assert not sched.exists()
+
+
+def test_export_simmatrix_rejects_missing_layer_before_profiling(workspace, monkeypatch,
+                                                                 capsys):
+    tmp, cfg = workspace
+    out = tmp / "m.csv"
+
+    def no_matrices(*args, **kwargs):
+        raise AssertionError("similarity matrices built before the layer check")
+
+    monkeypatch.setattr("bac.cli.similarity_matrices", no_matrices)
+    assert run_cli("export", "--what", "simmatrix", "--config", cfg,
+                   "--block", "layers.2.FFN", "--out", out) == 2
+    assert "no block layers.2.FFN in this 2-layer architecture" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bubble_topk_zero_is_identity(workspace):
     tmp, cfg = workspace
     prof, sched, out = tmp / "p.bacprof", tmp / "s.bacsched", tmp / "o.bacsched"
@@ -377,6 +410,25 @@ def test_preflight_refuses_above_the_cap_before_building(default_workspace, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"({estimate} bytes" in err
     assert not (w / "out").exists()
+
+
+@pytest.mark.parametrize("argv", ["profile", "export --what beta"])
+def test_preflight_counts_attention_scores_before_building(tmp_path, capsys, monkeypatch,
+                                                           argv):
+    """One SA call over 16384 action tokens would hold 8.6 GB of scores and as
+    much softmax; the weights and the trace hold about 53 MB.  Never run."""
+    cfg, out = tmp_path / "long.cfg", tmp_path / "out"
+    cfg.write_text("layers=1\naction_tokens=16384\nK=2\n")
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("built the denoiser above the memory cap")
+
+    monkeypatch.setattr("bac.cli.build_denoiser", never)
+    assert run_cli(*argv.split(), "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "attention scores" in err
+    assert "above the cap of 2147483648 bytes" in err
+    assert not out.exists()
 
 
 def test_preflight_admits_a_command_at_the_cap(workspace, monkeypatch):

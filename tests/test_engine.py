@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bac import denoiser as denoiser_module
 from bac.blocks import BlockId, canonical_blocks
 from bac.bua import SchedulePlan
 from bac.config import DenoiserConfig
@@ -272,20 +273,50 @@ def _trace_bytes(trace):
     return trace.computed.nbytes + trace.actions.nbytes + trace.slot.nbytes
 
 
+def _spy_scores(monkeypatch):
+    """Record the bytes of the largest attention-score array the softmax sees."""
+    seen = [0]
+    real = denoiser_module.softmax
+
+    def spy(x):
+        seen[0] = max(seen[0], x.nbytes)
+        return real(x)
+
+    monkeypatch.setattr("bac.denoiser.softmax", spy)
+    return seen
+
+
 def test_memory_estimate_counts_built_weights_and_traces(small_denoiser, small_config,
-                                                         small_episode, default_denoiser):
+                                                         small_episode, default_denoiser,
+                                                         monkeypatch):
     for den in (small_denoiser, default_denoiser):
         assert memory_estimate(den.config) == sum(a.nbytes for a in _weight_arrays(den))
+    seen = _spy_scores(monkeypatch)
     init, obs = small_episode
     weights = memory_estimate(small_config)
     _, full = denoise_full(small_denoiser, init, obs)
-    assert memory_estimate(small_config, full_traces=1) - weights == _trace_bytes(full)
+    scores = 2 * seen[0]  # the scores of one episode and their softmax
+    assert memory_estimate(small_config, full_traces=1) - weights == _trace_bytes(full) + scores
     plan = _plan(small_config, lambda b: (0, 3, 4) if b.kind == "CA" else (0,))
     update = run_cached(small_denoiser, plan, init, obs, reference=full)[1].update_mask
     _, cached = execute(small_denoiser, update, init, obs)
-    assert memory_estimate(small_config, plans=(plan,)) - weights == _trace_bytes(cached)
+    assert memory_estimate(small_config, plans=(plan,)) - weights == _trace_bytes(cached) + scores
     assert memory_estimate(small_config, 2, (plan, plan)) == (
-        weights + 2 * _trace_bytes(full) + 2 * _trace_bytes(cached))
+        weights + 2 * _trace_bytes(full) + 2 * _trace_bytes(cached) + 2 * scores)
+
+
+@pytest.mark.parametrize("tokens", [(5, 2), (2, 5)], ids=["sa-largest", "ca-largest"])
+def test_memory_estimate_counts_the_largest_attention_scores(monkeypatch, tokens):
+    """E full traces run as one batch, so their scores are E times one episode's."""
+    t, tc = tokens
+    cfg = DenoiserConfig(layers=1, d_model=8, heads=2, action_tokens=t, cond_tokens=tc,
+                         action_dim=3, K=3)
+    seen = _spy_scores(monkeypatch)
+    init, obs = (np.stack(a) for a in zip(*(synth_episode(cfg, s) for s in range(3))))
+    _, full = denoise_full(build_denoiser(cfg), init, obs)
+    assert seen[0] == 8 * 3 * cfg.heads * t * max(t, tc)
+    traces = full.computed.nbytes + full.actions.nbytes + 3 * full.slot.nbytes
+    assert memory_estimate(cfg, full_traces=3) - memory_estimate(cfg) == traces + 2 * seen[0]
 
 
 def test_memory_estimate_of_an_oversized_config_by_arithmetic():
@@ -297,7 +328,7 @@ def test_memory_estimate_of_an_oversized_config_by_arithmetic():
     assert memory_estimate(cfg) == 8 * weights
     assert 860e9 < 8 * weights < 863e9
     estimate = memory_estimate(cfg, full_traces=1)
-    assert estimate == 8 * (weights + trace)
+    assert estimate == 8 * (weights + trace + 2 * 4 * t * t)  # + one SA call's scores and softmax
     assert 31.4e12 < 8 * trace < 31.5e12
     with pytest.raises(ConfigError, match=str(estimate)):
         check_memory(cfg, full_traces=1)

@@ -5,11 +5,10 @@ import pytest
 
 from bac.blocks import BlockId, canonical_blocks
 from bac.bua import SchedulePlan
-from bac.denoiser import build_denoiser, denoise_full, synth_episode
+from bac.denoiser import FfnWeights, build_denoiser, denoise_full, gelu, synth_episode
 from bac.config import DenoiserConfig
 from bac.engine import run_cached
 from bac.errorlab import (
-    FfnParams,
     error_surge_experiment,
     ffn_apply,
     linear_response,
@@ -28,7 +27,7 @@ def test_random_ffn_draw_order():
     """``bac export --what remainder`` and ``bac verify`` depend on this order."""
     rng = np.random.default_rng(3)
     d, d_ff = 5, 20
-    want = FfnParams(
+    want = FfnWeights(
         w1=rng.normal(size=(d, d_ff)) / np.sqrt(d),
         b1=rng.normal(size=d_ff) * 0.1,
         w2=rng.normal(size=(d_ff, d)) / np.sqrt(d_ff),
@@ -38,7 +37,28 @@ def test_random_ffn_draw_order():
     got = random_ffn(np.random.default_rng(3), d)
     for name in ("w1", "b1", "w2", "b2", "gamma"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
-    assert got.activation == "gelu"
+
+
+def test_lab_ffn_is_the_denoisers():
+    """One feed-forward type and one MLP: the lab's old name is the denoiser's
+    class, and ``ffn_apply`` gives the bytes of the plain out-of-place formula."""
+    from bac.errorlab import FfnParams
+
+    assert FfnParams is FfnWeights
+    rng = np.random.default_rng(8)
+    params = random_ffn(rng, 8)
+    x = rng.normal(size=8)
+    plain = gelu(ln_eps_free(x, params.gamma) @ params.w1 + params.b1) @ params.w2 + params.b2
+    assert np.array_equal(ffn_apply(params, x), plain)
+
+
+@pytest.mark.parametrize("field, shape", [("w2", (20, 4)), ("b1", (5,)), ("b2", (4,)),
+                                          ("gamma", (6,))])
+def test_ffn_weights_reject_inconsistent_shapes(field, shape):
+    shapes = {"w1": (5, 20), "b1": (20,), "w2": (20, 5), "b2": (5,), "gamma": (5,)}
+    shapes[field] = shape
+    with pytest.raises(DimensionError, match="inconsistent feed-forward"):
+        FfnWeights(**{name: np.zeros(s) for name, s in shapes.items()})
 
 
 def fd_jacobian(x, gamma, h=1e-5):
@@ -108,7 +128,7 @@ def test_zero_delta_maps_to_zero():
 
 def test_two_point_null_response():
     rng = np.random.default_rng(2)
-    params = FfnParams(
+    params = FfnWeights(
         w1=rng.normal(size=(2, 8)),
         b1=rng.normal(size=8),
         w2=rng.normal(size=(8, 2)),
@@ -155,27 +175,12 @@ def test_remainder_shrinks_quadratically():
     assert 3.5 <= float(np.median(ratios)) <= 4.5
 
 
-def test_remainder_quadratic_with_identity_activation():
-    # residual curvature comes from LayerNorm alone
-    rng = np.random.default_rng(5)
-    ratios = []
-    for _ in range(20):
-        p = random_ffn(rng, 16)
-        params = FfnParams(p.w1, p.b1, p.w2, p.b2, p.gamma, activation="identity")
-        x = rng.normal(size=16)
-        delta = rng.normal(size=16)
-        delta /= np.linalg.norm(delta)
-        curve = verify_first_order(params, x, delta, [1e-2, 5e-3, 2.5e-3])
-        ratios.extend(curve.ratios)
-    assert 3.5 <= float(np.median(ratios)) <= 4.5
-
-
 def test_two_point_case_is_locally_constant():
     """With a null linear response the raw difference is the whole remainder;
     for two features the eps-free LayerNorm output is a fixed sign pattern, so
     that difference vanishes identically (0 <= C*eps^2 holds trivially)."""
     rng = np.random.default_rng(6)
-    params = FfnParams(
+    params = FfnWeights(
         w1=rng.normal(size=(2, 8)),
         b1=np.zeros(8),
         w2=rng.normal(size=(8, 2)),
