@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage, input or resource
 error (including running out of memory).  Every command that builds the
-denoiser first checks ``engine.memory_estimate`` of its weights, traces and
-attention scores against ``engine.MEMORY_CAP_BYTES``; ``export remainder``
-checks ``errorlab.remainder_bytes`` of its random FFN the same way.
+denoiser first checks ``engine.memory_estimate`` of its weights, traces, FFN
+activations and attention scores (and, for ``schedule --anchored`` and
+``export simmatrix``, its similarity matrices) against
+``engine.MEMORY_CAP_BYTES``; ``export remainder`` checks
+``errorlab.remainder_bytes`` of its random FFN the same way.
 """
 
 from __future__ import annotations
@@ -35,6 +37,13 @@ def _u64(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 _EXIT_CODES = """exit codes:
   0  success
   1  verification failure (bac verify)
@@ -55,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="profile per-block feature similarities")
     p.add_argument("--config", required=True)
-    p.add_argument("--episodes", type=int, default=1)
+    p.add_argument("--episodes", type=_positive_int, default=1)
     p.add_argument("--seed", type=_u64, default=0)
     p.add_argument("--out", required=True)
 
@@ -70,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         "to rebuild similarity matrices)",
     )
     p.add_argument("--config")
-    p.add_argument("--episodes", type=int, default=1)
+    p.add_argument("--episodes", type=_positive_int, default=1)
     p.add_argument("--seed", type=_u64, default=0)
 
     p = sub.add_parser("bubble", help="repair schedules by bubbling union")
@@ -94,12 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--what",
         required=True,
-        choices=("simmatrix", "surface", "remainder", "beta"),
+        choices=("simmatrix", "remainder", "beta"),
     )
     p.add_argument("--config")
-    p.add_argument("--sched")
     p.add_argument("--block")
-    p.add_argument("--episodes", type=int, default=1)
+    p.add_argument("--episodes", type=_positive_int, default=1)
     p.add_argument("--seed", type=_u64, default=0)
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--out", required=True)
@@ -108,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_profile(args) -> int:
     config = load_config(args.config)
-    if args.episodes < 1:
-        raise BacError("--episodes must be at least 1")
     check_memory(config, full_traces=args.episodes)
     profile = profile_task(build_denoiser(config), args.episodes, args.seed)
     fileio.write_profile(profile, args.out)
@@ -132,7 +138,7 @@ def _cmd_schedule(args) -> int:
                 f"config layers={config.layers} != profile layers={profile.layer_count}"
             )
         check_budget(args.budget, config.K)
-        check_memory(config, full_traces=args.episodes)
+        check_memory(config, full_traces=args.episodes, matrices=True)
         matrices = similarity_matrices(build_denoiser(config), args.episodes, args.seed)
         schedules = {
             b: solve_schedule_anchored(matrices[b], args.budget) for b in matrices
@@ -215,21 +221,9 @@ def _cmd_export(args) -> int:
         block = parse_block_name(args.block)
         if block.layer >= config.layers:
             raise BacError(f"no block {block.name} in this {config.layers}-layer architecture")
-        check_memory(config, full_traces=args.episodes)
+        check_memory(config, full_traces=args.episodes, matrices=True)
         matrices = similarity_matrices(build_denoiser(config), args.episodes, args.seed)
         fileio.write_matrix_csv(matrices[block], args.out)
-        return 0
-
-    if args.what == "surface":
-        if not (args.config and args.sched):
-            raise BacError("surface export needs --config and --sched")
-        config = load_config(args.config)
-        plan = fileio.read_plan(args.sched, K=config.K)
-        check_memory(config, full_traces=1, plans=(plan,))
-        denoiser = build_denoiser(config)
-        init, obs = synth_episode(config, args.seed)
-        _, report = run_cached(denoiser, plan, init, obs)
-        fileio.write_surface_csv(report, config.layers, args.out)
         return 0
 
     if args.what == "remainder":

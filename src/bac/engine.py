@@ -7,9 +7,10 @@ other step the previously served residual is added unchanged, so the feature
 served at step t always comes from max{i in C | i <= t}.  The run's trace
 holds each computed residual once (about 4 KB per update at the default
 config, against 9.8 MB for a full pass), with the slot each (block, step)
-served.  Errors are measured after the run, block by block, against a
-full-precision reference run with identical inputs: each block's served
-residuals are gathered once, and the L2 distance of every step is one einsum.
+served.  Errors are measured after the run, block by block, against the
+caller's full-precision reference run with identical inputs: each block's
+served residuals are gathered once, and the L2 distance of every step is one
+einsum.
 
 Cost model (multiply-accumulates, elementwise ops free):
 
@@ -40,7 +41,7 @@ import numpy as np
 
 from .blocks import BlockId, canonical_blocks
 from .config import DenoiserConfig
-from .denoiser import FeatureTrace, MacCounter, ToyDenoiser, denoise_full, execute
+from .denoiser import FeatureTrace, MacCounter, ToyDenoiser, execute
 from .errors import ConfigError, ConsistencyError, DimensionError, PlanError
 from .bua import SchedulePlan
 from .scheduler import Schedule, check_budget
@@ -147,21 +148,29 @@ MEMORY_CAP_BYTES = 2 * 1024**3
 
 
 def memory_estimate(
-    config: DenoiserConfig, full_traces: int = 0, plans: tuple[SchedulePlan, ...] = ()
+    config: DenoiserConfig,
+    full_traces: int = 0,
+    plans: tuple[SchedulePlan, ...] = (),
+    matrices: bool = False,
 ) -> int:
-    """Bytes of the weights, the traces and the attention scores a command
-    holds, by arithmetic alone.
+    """Bytes of the weights, the traces, the largest block call's temporaries
+    and the similarity matrices a command holds, by arithmetic alone.
 
     The weights include the timestep table.  A trace holds one T x d_model
     float64 residual per update, the K actions and the (3L, K) slot index: a
     full pass updates all 3L x K (block, step) pairs, a cached run of a plan
     updates its schedules' steps.  A command that runs the denoiser also holds,
     during one attention call, its scores and their softmax: two
-    (E, heads, T, max(T, Tc)) arrays, quadratic in T.  E is the number of full
-    traces, which run as one batch (the profile's episodes do; for the two
-    passes of ``export beta``, which run one after the other, this is an upper
-    bound), or one episode when only cached runs are counted.  Other
-    temporaries of the forward loop and of the statistics are not counted.
+    (E, heads, T, max(T, Tc)) arrays, quadratic in T; and during one FFN call,
+    the pre-activation and GELU's two temporaries: three (E, T, d_ff) arrays.
+    The two calls never overlap, so their sum is an upper bound.  E is the
+    number of full traces, which run as one batch (the profile's episodes do;
+    for the two passes of ``export beta``, which run one after the other, this
+    is an upper bound), or one episode when only cached runs are counted.
+    ``matrices`` adds what ``profiler.similarity_matrices`` holds: 3L K x K
+    matrices, plus three (E, K, K) products inside one ``similarity_matrix``
+    call.  Other temporaries of the forward loop and of the statistics are not
+    counted.
     """
     t, d, a, K = config.action_tokens, config.d_model, config.action_dim, config.K
     d_ff, n = config.d_ff, 3 * config.layers
@@ -169,12 +178,15 @@ def memory_estimate(
     weights = 3 * a * d + config.layers * per_layer + K * d
     rows = full_traces or (1 if plans else 0)
     scores = 2 * rows * config.heads * t * max(t, config.cond_tokens)
+    hidden = 3 * rows * t * d_ff
+    sims = (n + 3 * full_traces) * K * K if matrices else 0
 
     def trace(updates: int) -> int:
         return updates * t * d + K * t * a + n * K
 
     updates = [sum(len(p.schedule(b)) for b in canonical_blocks(p.layers)) for p in plans]
-    return 8 * (weights + scores + full_traces * trace(n * K) + sum(trace(u) for u in updates))
+    return 8 * (weights + scores + hidden + sims + full_traces * trace(n * K)
+                + sum(trace(u) for u in updates))
 
 
 def check_bytes(estimate: int, held: str, advice: str) -> None:
@@ -187,11 +199,16 @@ def check_bytes(estimate: int, held: str, advice: str) -> None:
 
 
 def check_memory(
-    config: DenoiserConfig, full_traces: int = 0, plans: tuple[SchedulePlan, ...] = ()
+    config: DenoiserConfig,
+    full_traces: int = 0,
+    plans: tuple[SchedulePlan, ...] = (),
+    matrices: bool = False,
 ) -> None:
     """Raise ``ConfigError`` if ``memory_estimate`` exceeds ``MEMORY_CAP_BYTES``."""
-    check_bytes(memory_estimate(config, full_traces, plans),
-                "weights, traces and attention scores", "use a smaller config or fewer episodes")
+    held = "weights, traces, FFN activations" + (
+        ", attention scores and similarity matrices" if matrices else " and attention scores")
+    check_bytes(memory_estimate(config, full_traces, plans, matrices), held,
+                "use a smaller config or fewer episodes")
 
 
 def run_cached(
@@ -199,15 +216,12 @@ def run_cached(
     plan: SchedulePlan,
     init_noise: np.ndarray,
     obs: np.ndarray,
-    reference: FeatureTrace | None = None,
+    reference: FeatureTrace,
     mac: MacCounter | None = None,
 ) -> tuple[np.ndarray, RunReport]:
-    """Execute the plan and report errors against the full-precision run.
-
-    ``reference`` may carry a precomputed trace for the same inputs (sweeps
-    reuse it); otherwise the reference run happens here, after the cached
-    run and outside the MAC counter.
-    """
+    """Execute the plan and report errors against ``reference``, the full
+    trace of ``denoise_full`` on the same inputs (sweeps share one across
+    plans); the MAC counter sees the cached run alone."""
     cfg = denoiser.config
     if np.ndim(init_noise) != 2:  # errors and the report are per episode
         raise DimensionError(f"run_cached runs one episode; init_noise shape {np.shape(init_noise)}")
@@ -215,13 +229,18 @@ def run_cached(
         raise PlanError(f"plan layers={plan.layers} != config layers={cfg.layers}")
     if plan.K != cfg.K:
         raise ConsistencyError(f"plan K={plan.K} != config K={cfg.K}")
-    update = np.zeros((3 * cfg.layers, cfg.K), dtype=bool)
+    n, t = 3 * cfg.layers, cfg.action_tokens
+    got = (reference.computed.shape, reference.slot.shape, reference.actions.shape)
+    want = ((n * cfg.K, t, cfg.d_model), (n, cfg.K), (cfg.K, t, cfg.action_dim))
+    if got != want:
+        raise ConsistencyError(
+            f"reference is not a full trace of this run: computed, slot and actions "
+            f"shapes {got}, want {want}")
+    update = np.zeros((n, cfg.K), dtype=bool)
     for block in canonical_blocks(cfg.layers):
         update[block.ordinal, list(plan.schedule(block).steps)] = True
 
     action, run = execute(denoiser, update, init_noise, obs, mac=mac)
-    if reference is None:
-        _, reference = denoise_full(denoiser, init_noise, obs)
 
     errors = np.empty(update.shape)
     ref = reference.residuals

@@ -309,10 +309,18 @@ def test_export_beta_curve(workspace):
 
 
 def test_export_missing_inputs_exit_two(workspace):
-    tmp, cfg = workspace
+    tmp, _ = workspace
     assert run_cli("export", "--what", "simmatrix", "--out", tmp / "m.csv") == 2
-    assert run_cli("export", "--what", "surface", "--config", cfg,
-                   "--out", tmp / "s.csv") == 2
+
+
+def test_export_has_no_surface(workspace, capsys):
+    """``bac run --surface`` is the one writer of the error surface."""
+    tmp, cfg = workspace
+    with pytest.raises(SystemExit) as exc:
+        run_cli("export", "--what", "surface", "--config", cfg, "--out", tmp / "s.csv")
+    assert exc.value.code == 2
+    assert "invalid choice: 'surface'" in capsys.readouterr().err
+    assert not (tmp / "s.csv").exists()
 
 
 @pytest.mark.parametrize("dim", [-1, 0])
@@ -379,31 +387,33 @@ def default_workspace(tmp_path):
     return tmp_path
 
 
-_DEFAULT_PLAN = uniform_plan(100, 10, 8)
-# argv ({w} is the workspace), full traces and cached plans of each preflight
+def _never_build(monkeypatch):
+    def never(*_args, **_kwargs):
+        raise AssertionError("built the denoiser above the memory cap")
+
+    monkeypatch.setattr("bac.cli.build_denoiser", never)
+
+
+# argv ({w} is the workspace), full traces, cached plans and similarity
+# matrices of each preflight
 _PREFLIGHT_CASES = {
-    "profile": ("profile --episodes 3 --out {w}/out", 3, ()),
+    "profile": ("profile --episodes 3 --out {w}/out", 3, (), False),
     "schedule": ("schedule --profile {w}/p.bacprof --budget 10 --anchored --episodes 2 "
-                 "--out {w}/out", 2, ()),
+                 "--out {w}/out", 2, (), True),
     "run": ("run --sched {w}/u.bacsched --report {w}/out --baseline uniform:20", 1,
-            (_DEFAULT_PLAN, uniform_plan(100, 20, 8))),
-    "simmatrix": ("export --what simmatrix --block layers.0.SA --out {w}/out", 1, ()),
-    "surface": ("export --what surface --sched {w}/u.bacsched --out {w}/out", 1,
-                (_DEFAULT_PLAN,)),
-    "beta": ("export --what beta --out {w}/out", 2, ()),
+            (uniform_plan(100, 10, 8), uniform_plan(100, 20, 8)), False),
+    "simmatrix": ("export --what simmatrix --block layers.0.SA --out {w}/out", 1, (), True),
+    "beta": ("export --what beta --out {w}/out", 2, (), False),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_PREFLIGHT_CASES))
 def test_preflight_refuses_above_the_cap_before_building(default_workspace, capsys,
                                                          monkeypatch, case):
-    argv, full_traces, plans = _PREFLIGHT_CASES[case]
-    estimate = memory_estimate(DenoiserConfig(), full_traces, plans)
+    argv, full_traces, plans, matrices = _PREFLIGHT_CASES[case]
+    estimate = memory_estimate(DenoiserConfig(), full_traces, plans, matrices)
 
-    def never(*_args, **_kwargs):
-        raise AssertionError("built the denoiser above the memory cap")
-
-    monkeypatch.setattr("bac.cli.build_denoiser", never)
+    _never_build(monkeypatch)
     monkeypatch.setattr("bac.engine.MEMORY_CAP_BYTES", estimate - 1)
     w = default_workspace
     assert run_cli(*argv.format(w=w).split(), "--config", w / "toy.cfg") == 2
@@ -420,15 +430,66 @@ def test_preflight_counts_attention_scores_before_building(tmp_path, capsys, mon
     cfg, out = tmp_path / "long.cfg", tmp_path / "out"
     cfg.write_text("layers=1\naction_tokens=16384\nK=2\n")
 
-    def never(*_args, **_kwargs):
-        raise AssertionError("built the denoiser above the memory cap")
-
-    monkeypatch.setattr("bac.cli.build_denoiser", never)
+    _never_build(monkeypatch)
     assert run_cli(*argv.split(), "--config", cfg, "--out", out) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "attention scores" in err
     assert "above the cap of 2147483648 bytes" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["schedule", "simmatrix"])
+def test_preflight_counts_similarity_matrices_before_building(tmp_path, capsys, monkeypatch,
+                                                              command):
+    """``layers=1, K=20000``: weights and one full trace hold about 0.27 GB, the
+    three K x K similarity matrices 9.6 GB.  Never run."""
+    cfg, out = tmp_path / "big.cfg", tmp_path / "out"
+    cfg.write_text("layers=1\nK=20000\n")
+    prof = tmp_path / "p.bacprof"
+    blocks = {b: BlockStats(np.full(19_999, 0.9), 1.0) for b in canonical_blocks(1)}
+    fileio.write_profile(SimilarityProfile(K=20_000, blocks=blocks), prof)
+    argv = {"schedule": f"schedule --profile {prof} --budget 10 --anchored",
+            "simmatrix": "export --what simmatrix --block layers.0.FFN"}[command]
+    _never_build(monkeypatch)
+    assert run_cli(*argv.split(), "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "similarity matrices" in err
+    assert "above the cap of 2147483648 bytes" in err
+    assert not out.exists()
+
+
+def test_preflight_counts_ffn_activations_before_building(tmp_path, capsys, monkeypatch):
+    """40000 one-layer episodes: traces and scores hold about 1.19 GB, the
+    largest FFN call's three (E, T, 4d) arrays 1.97 GB.  Never run."""
+    cfg, out = tmp_path / "ffn.cfg", tmp_path / "out"
+    cfg.write_text("layers=1\nK=2\n")
+    _never_build(monkeypatch)
+    assert run_cli("profile", "--config", cfg, "--episodes", 40_000, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "FFN activations" in err
+    assert "above the cap of 2147483648 bytes" in err
+    assert not out.exists()
+
+
+_EPISODES_ARGV = {
+    "profile": "profile",
+    "schedule": "schedule --profile {w}/p.bacprof --budget 10 --anchored",
+    "export": "export --what simmatrix --block layers.0.SA",
+}
+
+
+@pytest.mark.parametrize("episodes", [0, -1])
+@pytest.mark.parametrize("command", sorted(_EPISODES_ARGV))
+def test_nonpositive_episodes_is_a_usage_error(default_workspace, capsys, monkeypatch,
+                                               command, episodes):
+    w = default_workspace
+    _never_build(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*_EPISODES_ARGV[command].format(w=w).split(), "--config", w / "toy.cfg",
+                "--episodes", episodes, "--out", w / "out")
+    assert exc.value.code == 2
+    assert f"--episodes: must be at least 1, got {episodes}" in capsys.readouterr().err
+    assert not (w / "out").exists()
 
 
 def test_preflight_admits_a_command_at_the_cap(workspace, monkeypatch):

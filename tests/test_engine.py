@@ -18,6 +18,7 @@ from bac.engine import (
     run_cached,
     uniform_plan,
 )
+from bac.profiler import similarity_matrix
 from bac.errors import BudgetError, ConfigError, ConsistencyError, DimensionError, PlanError
 from bac.rng import derive_seed
 from bac.scheduler import Schedule
@@ -83,7 +84,8 @@ def test_full_plan_bit_exact(small_denoiser, small_config, small_episode):
 def test_reuse_provenance_is_latest_update(small_denoiser, small_config, small_episode):
     init, obs = small_episode
     plan = _plan(small_config, lambda b: (0, 4, 9))
-    _, report = run_cached(small_denoiser, plan, init, obs)
+    _, report = run_cached(small_denoiser, plan, init, obs,
+                           reference=denoise_full(small_denoiser, init, obs)[1])
     steps = (0, 4, 9)
     for block in canonical_blocks(small_config.layers):
         for t in range(small_config.K):
@@ -130,13 +132,15 @@ def test_mixed_plan_error_surface(small_denoiser, small_config, small_episode):
 def test_error_zero_at_step_zero(small_denoiser, small_config, small_episode):
     init, obs = small_episode
     plan = _plan(small_config, lambda b: (0, 3))
-    _, report = run_cached(small_denoiser, plan, init, obs)
+    _, report = run_cached(small_denoiser, plan, init, obs,
+                           reference=denoise_full(small_denoiser, init, obs)[1])
     assert np.all(report.errors[:, 0] == 0.0)
 
 
 def test_all_steps_plan_zero_surface(small_denoiser, small_config, small_episode):
     init, obs = small_episode
-    _, report = run_cached(small_denoiser, full_plan(small_config), init, obs)
+    _, report = run_cached(small_denoiser, full_plan(small_config), init, obs,
+                           reference=denoise_full(small_denoiser, init, obs)[1])
     assert np.all(report.errors == 0.0)
     assert report.update_mask.all()
 
@@ -151,7 +155,8 @@ def test_missing_step_zero_is_cold_cache_error(small_denoiser, small_config, sma
     object.__setattr__(plan, "schedules", schedules)
     init, obs = small_episode
     with pytest.raises(PlanError, match="step 0"):
-        run_cached(small_denoiser, plan, init, obs)
+        run_cached(small_denoiser, plan, init, obs,
+                   reference=denoise_full(small_denoiser, init, obs)[1])
 
 
 def test_plan_mismatch_errors(small_denoiser, small_config, small_episode):
@@ -160,12 +165,35 @@ def test_plan_mismatch_errors(small_denoiser, small_config, small_episode):
                            action_tokens=4, cond_tokens=2, action_dim=3,
                            K=small_config.K + 1, seed=1)
     with pytest.raises(ConsistencyError):
-        run_cached(small_denoiser, full_plan(other), init, obs)
+        run_cached(small_denoiser, full_plan(other), init, obs,
+                   reference=denoise_full(small_denoiser, init, obs)[1])
     wrong_layers = DenoiserConfig(layers=small_config.layers + 1, d_model=16,
                                   heads=2, action_tokens=4, cond_tokens=2,
                                   action_dim=3, K=small_config.K, seed=1)
     with pytest.raises(PlanError):
-        run_cached(small_denoiser, full_plan(wrong_layers), init, obs)
+        run_cached(small_denoiser, full_plan(wrong_layers), init, obs,
+                   reference=denoise_full(small_denoiser, init, obs)[1])
+
+
+def test_run_cached_needs_a_full_reference_of_its_config(small_denoiser, small_config,
+                                                        small_episode):
+    """The caller's full pass is the only reference: none is a TypeError, and a
+    cached trace or another config's full trace fails by name before the run."""
+    init, obs = small_episode
+    plan = _plan(small_config, lambda b: (0, 5))
+    with pytest.raises(TypeError):
+        run_cached(small_denoiser, plan, init, obs)
+    every_fourth = np.zeros((3 * small_config.layers, small_config.K), dtype=bool)
+    every_fourth[:, ::4] = True
+    _, cached = execute(small_denoiser, every_fourth, init, obs)
+    other = DenoiserConfig(layers=small_config.layers, d_model=8, heads=2, action_tokens=4,
+                           cond_tokens=2, action_dim=3, K=small_config.K, seed=1)
+    _, foreign = denoise_full(build_denoiser(other), init, synth_episode(other, 0)[1])
+    mac = MacCounter()
+    for bad in (cached, foreign):
+        with pytest.raises(ConsistencyError, match="not a full trace of this run"):
+            run_cached(small_denoiser, plan, init, obs, reference=bad, mac=mac)
+    assert mac.count == 0
 
 
 def test_run_cached_rejects_batched_episodes(small_denoiser, small_config, small_episode):
@@ -173,7 +201,8 @@ def test_run_cached_rejects_batched_episodes(small_denoiser, small_config, small
     mac = MacCounter()
     with pytest.raises(DimensionError, match=r"\(2, 4, 3\)"):
         run_cached(small_denoiser, full_plan(small_config), np.stack([init, init]),
-                   np.stack([obs, obs]), mac=mac)
+                   np.stack([obs, obs]), reference=denoise_full(small_denoiser, init, obs)[1],
+                   mac=mac)
     assert mac.count == 0
 
 
@@ -232,7 +261,8 @@ def test_instrumented_counter_matches_analytic(small_denoiser, small_config, sma
     for steps in [(0,), (0, 3, 7), tuple(range(small_config.K))]:
         plan = _plan(small_config, lambda b: steps)
         mac = MacCounter()
-        _, report = run_cached(small_denoiser, plan, init, obs, mac=mac)
+        _, report = run_cached(small_denoiser, plan, init, obs,
+                               reference=denoise_full(small_denoiser, init, obs)[1], mac=mac)
         assert mac.count == report.flops.flops_cached
     mac = MacCounter()
     denoise_full(small_denoiser, init, obs, mac=mac)
@@ -273,16 +303,17 @@ def _trace_bytes(trace):
     return trace.computed.nbytes + trace.actions.nbytes + trace.slot.nbytes
 
 
-def _spy_scores(monkeypatch):
-    """Record the bytes of the largest attention-score array the softmax sees."""
+def _spy_largest(monkeypatch, name):
+    """Record the bytes of the largest array ``bac.denoiser.<name>`` is called on:
+    the attention scores for ``softmax``, the FFN pre-activation for ``gelu``."""
     seen = [0]
-    real = denoiser_module.softmax
+    real = getattr(denoiser_module, name)
 
     def spy(x):
         seen[0] = max(seen[0], x.nbytes)
         return real(x)
 
-    monkeypatch.setattr("bac.denoiser.softmax", spy)
+    monkeypatch.setattr(f"bac.denoiser.{name}", spy)
     return seen
 
 
@@ -291,11 +322,14 @@ def test_memory_estimate_counts_built_weights_and_traces(small_denoiser, small_c
                                                          monkeypatch):
     for den in (small_denoiser, default_denoiser):
         assert memory_estimate(den.config) == sum(a.nbytes for a in _weight_arrays(den))
-    seen = _spy_scores(monkeypatch)
+    seen = _spy_largest(monkeypatch, "softmax")
+    hidden = _spy_largest(monkeypatch, "gelu")
     init, obs = small_episode
     weights = memory_estimate(small_config)
     _, full = denoise_full(small_denoiser, init, obs)
-    scores = 2 * seen[0]  # the scores of one episode and their softmax
+    # the scores of one episode and their softmax, then its FFN pre-activation
+    # and GELU's two temporaries
+    scores = 2 * seen[0] + 3 * hidden[0]
     assert memory_estimate(small_config, full_traces=1) - weights == _trace_bytes(full) + scores
     plan = _plan(small_config, lambda b: (0, 3, 4) if b.kind == "CA" else (0,))
     update = run_cached(small_denoiser, plan, init, obs, reference=full)[1].update_mask
@@ -311,12 +345,31 @@ def test_memory_estimate_counts_the_largest_attention_scores(monkeypatch, tokens
     t, tc = tokens
     cfg = DenoiserConfig(layers=1, d_model=8, heads=2, action_tokens=t, cond_tokens=tc,
                          action_dim=3, K=3)
-    seen = _spy_scores(monkeypatch)
+    seen = _spy_largest(monkeypatch, "softmax")
+    hidden = _spy_largest(monkeypatch, "gelu")
     init, obs = (np.stack(a) for a in zip(*(synth_episode(cfg, s) for s in range(3))))
     _, full = denoise_full(build_denoiser(cfg), init, obs)
     assert seen[0] == 8 * 3 * cfg.heads * t * max(t, tc)
     traces = full.computed.nbytes + full.actions.nbytes + 3 * full.slot.nbytes
-    assert memory_estimate(cfg, full_traces=3) - memory_estimate(cfg) == traces + 2 * seen[0]
+    assert memory_estimate(cfg, full_traces=3) - memory_estimate(cfg) == (
+        traces + 2 * seen[0] + 3 * hidden[0])
+
+
+@pytest.mark.parametrize("episodes", [1, 3])
+def test_memory_estimate_counts_the_ffn_hidden_arrays(monkeypatch, episodes):
+    """The largest FFN call holds its (E, T, d_ff) pre-activation and GELU's two
+    temporaries of that shape; E full traces run as one batch."""
+    cfg = DenoiserConfig(layers=1, d_model=8, heads=2, action_tokens=5, cond_tokens=2,
+                         action_dim=3, K=3)
+    hidden = _spy_largest(monkeypatch, "gelu")
+    runs = [synth_episode(cfg, s) for s in range(episodes)]
+    init, obs = (np.stack(a) for a in zip(*runs))
+    _, full = denoise_full(build_denoiser(cfg), init, obs)
+    assert hidden[0] == 8 * episodes * cfg.action_tokens * cfg.d_ff
+    traces = full.computed.nbytes + full.actions.nbytes + episodes * full.slot.nbytes
+    scores = 8 * 2 * episodes * cfg.heads * 5 * 5
+    assert memory_estimate(cfg, full_traces=episodes) - memory_estimate(cfg) == (
+        traces + scores + 3 * hidden[0])
 
 
 def test_memory_estimate_of_an_oversized_config_by_arithmetic():
@@ -328,10 +381,44 @@ def test_memory_estimate_of_an_oversized_config_by_arithmetic():
     assert memory_estimate(cfg) == 8 * weights
     assert 860e9 < 8 * weights < 863e9
     estimate = memory_estimate(cfg, full_traces=1)
-    assert estimate == 8 * (weights + trace + 2 * 4 * t * t)  # + one SA call's scores and softmax
+    # + one SA call's scores and softmax, and one FFN call's three hidden arrays
+    assert estimate == 8 * (weights + trace + 2 * 4 * t * t + 3 * t * d_ff)
     assert 31.4e12 < 8 * trace < 31.5e12
     with pytest.raises(ConfigError, match=str(estimate)):
         check_memory(cfg, full_traces=1)
+
+
+def test_memory_estimate_counts_the_similarity_matrices_by_arithmetic():
+    """``layers=1, K=20000``: the three K x K matrices alone hold 9.6 GB, and
+    one ``similarity_matrix`` call over E episodes three (E, K, K) products."""
+    cfg = DenoiserConfig(layers=1, K=20_000)
+    for episodes in (1, 3):
+        grown = memory_estimate(cfg, episodes, matrices=True) - memory_estimate(cfg, episodes)
+        assert grown == 8 * (3 + 3 * episodes) * 20_000**2
+    assert 8 * 3 * 20_000**2 == 9.6e9
+    assert memory_estimate(cfg, 1) < MEMORY_CAP_BYTES < memory_estimate(cfg, 1, matrices=True)
+    with pytest.raises(ConfigError, match="similarity matrices"):
+        check_memory(cfg, full_traces=1, matrices=True)
+
+
+@pytest.mark.parametrize("episodes", [1, 3])
+def test_similarity_matrices_peak_within_their_term(episodes):
+    """The measured peak of the 3L matrices of one trace lies within one K x K
+    matrix below the term, once the (E, K, T*d) unit features are set aside."""
+    cfg = DenoiserConfig(layers=1, d_model=8, heads=2, action_tokens=2, cond_tokens=2,
+                         action_dim=3, K=200)
+    runs = [synth_episode(cfg, s) for s in range(episodes)]
+    init, obs = (np.stack(a) for a in zip(*runs))
+    _, trace = denoise_full(build_denoiser(cfg), init, obs)
+    tracemalloc.start()
+    try:
+        _ = {b: similarity_matrix(trace, b) for b in canonical_blocks(cfg.layers)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    term = memory_estimate(cfg, episodes, matrices=True) - memory_estimate(cfg, episodes)
+    unit = 8 * episodes * cfg.K * cfg.action_tokens * cfg.d_model
+    assert term - 8 * cfg.K**2 < peak - unit <= term
 
 
 def test_default_config_is_far_below_the_cap(default_config):

@@ -314,11 +314,12 @@ def test_added_steps_format():
 @pytest.fixture(scope="module")
 def report(small_denoiser_module):
     cfg = small_denoiser_module.config
-    from bac.denoiser import synth_episode
+    from bac.denoiser import denoise_full, synth_episode
 
     init, obs = synth_episode(cfg, 4)
     plan = uniform_plan(cfg.K, 4, cfg.layers)
-    _, rep = run_cached(small_denoiser_module, plan, init, obs)
+    _, rep = run_cached(small_denoiser_module, plan, init, obs,
+                        reference=denoise_full(small_denoiser_module, init, obs)[1])
     return rep
 
 
