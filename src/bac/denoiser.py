@@ -511,13 +511,11 @@ def pre_block_states(
     action (``init_noise`` at step 0), then each served residual of the blocks
     before ``block``.  So it equals what the loop fed the block, bit for bit.
     Shape (K, T, d_model), with the trace's leading episode axis if it has one.
-    A full trace's residuals are added as views, a cached one's as gathers.
     """
     prev = [np.asarray(init_noise, dtype=np.float64), *np.moveaxis(trace.actions, -3, 0)[:-1]]
     h = np.stack([embed_action(denoiser, a, t) for t, a in enumerate(prev)], axis=-3)
-    dense = trace.residuals if trace.is_full else None
     for i in range(block.ordinal):
-        h += trace.served(i) if dense is None else dense[..., i, :, :, :]
+        h += trace.served(i)
     return h
 
 

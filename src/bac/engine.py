@@ -7,10 +7,13 @@ other step the previously served residual is added unchanged, so the feature
 served at step t always comes from max{i in C | i <= t}.  The run's trace
 holds each computed residual once (about 4 KB per update at the default
 config, against 9.8 MB for a full pass), with the slot each (block, step)
-served.  Errors are measured after the run, block by block, against the
-caller's full-precision reference run with identical inputs: each block's
-served residuals are gathered once, and the L2 distance of every step is one
-einsum.
+served.  Errors are measured after the run by ``block_errors``, the one error
+pass (the error-surge lab uses it too), against the caller's full-precision
+reference run with identical inputs: block by block, each block's served
+residuals are gathered once, and the L2 distance of every step is one einsum.
+Like ``execute``, ``run_cached`` takes an optional leading episode axis: E
+episodes run as one batch under the plan's one mask, and each row equals its
+own run bit for bit.
 
 Cost model (multiply-accumulates, elementwise ops free):
 
@@ -42,7 +45,7 @@ import numpy as np
 from .blocks import BlockId, canonical_blocks
 from .config import DenoiserConfig
 from .denoiser import FeatureTrace, MacCounter, ToyDenoiser, execute
-from .errors import ConfigError, ConsistencyError, DimensionError, PlanError
+from .errors import ConfigError, ConsistencyError, PlanError
 from .bua import SchedulePlan
 from .scheduler import Schedule, check_budget
 
@@ -61,17 +64,22 @@ class FlopsBreakdown:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Per-(block, step) caching errors and the cost accounting of one run."""
+    """Per-(block, step) caching errors and the cost accounting of one run.
+
+    A batched run puts a leading episode axis on ``errors`` and
+    ``final_action_l2`` (then an (E,) array); the plan's fields stay shared.
+    """
 
     errors: np.ndarray        # (3L, K) L2 distance to the reference residual
     update_mask: np.ndarray   # (3L, K) bool, True where the block recomputed
     provenance: np.ndarray    # (3L, K) source step of the feature served at t
-    final_action_l2: float    # rms deviation of the final action
+    final_action_l2: float | np.ndarray  # rms deviation of the final action
     flops: FlopsBreakdown
 
     def block_mean_errors(self, layers: int) -> dict[BlockId, float]:
+        """Each block's error averaged over steps, and over episodes if batched."""
         return {
-            b: float(self.errors[b.ordinal].mean())
+            b: float(self.errors[..., b.ordinal, :].mean())
             for b in canonical_blocks(layers)
         }
 
@@ -211,6 +219,21 @@ def check_memory(
                 "use a smaller config or fewer episodes")
 
 
+def block_errors(run: FeatureTrace, reference: FeatureTrace) -> np.ndarray:
+    """L2 distance of each residual ``run`` served to ``reference``'s, per
+    (block, step): (3L, K) after ``run``'s leading episode axis, if any.
+
+    ``reference`` is a full trace of the same inputs.  One block at a time:
+    its served residuals are gathered once, and every step is one einsum.
+    """
+    errors = np.empty((*run.actions.shape[:-3], *run.slot.shape))
+    for i, row in enumerate(np.moveaxis(reference.residuals, -4, 0)):
+        diff = run.served(i)
+        diff -= row
+        errors[..., i, :] = np.sqrt(np.einsum("...tij,...tij->...t", diff, diff))
+    return errors
+
+
 def run_cached(
     denoiser: ToyDenoiser,
     plan: SchedulePlan,
@@ -221,17 +244,21 @@ def run_cached(
 ) -> tuple[np.ndarray, RunReport]:
     """Execute the plan and report errors against ``reference``, the full
     trace of ``denoise_full`` on the same inputs (sweeps share one across
-    plans); the MAC counter sees the cached run alone."""
+    plans); the MAC counter sees the cached run alone.
+
+    ``init_noise`` (E, T, a), ``obs`` (E, obs_dim) and a reference of the same
+    E episodes run as one batch, as in ``execute``: the action, ``errors`` and
+    ``final_action_l2`` gain the episode axis, and each row equals its own
+    one-episode run bit for bit.
+    """
     cfg = denoiser.config
-    if np.ndim(init_noise) != 2:  # errors and the report are per episode
-        raise DimensionError(f"run_cached runs one episode; init_noise shape {np.shape(init_noise)}")
     if plan.layers != cfg.layers:
         raise PlanError(f"plan layers={plan.layers} != config layers={cfg.layers}")
     if plan.K != cfg.K:
         raise ConsistencyError(f"plan K={plan.K} != config K={cfg.K}")
-    n, t = 3 * cfg.layers, cfg.action_tokens
+    n, t, lead = 3 * cfg.layers, cfg.action_tokens, np.shape(init_noise)[:-2]
     got = (reference.computed.shape, reference.slot.shape, reference.actions.shape)
-    want = ((n * cfg.K, t, cfg.d_model), (n, cfg.K), (cfg.K, t, cfg.action_dim))
+    want = ((*lead, n * cfg.K, t, cfg.d_model), (n, cfg.K), (*lead, cfg.K, t, cfg.action_dim))
     if got != want:
         raise ConsistencyError(
             f"reference is not a full trace of this run: computed, slot and actions "
@@ -242,19 +269,14 @@ def run_cached(
 
     action, run = execute(denoiser, update, init_noise, obs, mac=mac)
 
-    errors = np.empty(update.shape)
-    ref = reference.residuals
-    for i, row in enumerate(ref):  # one block's served residuals at a time
-        diff = run.served(i)
-        diff -= row
-        errors[i] = np.sqrt(np.einsum("tij,tij->t", diff, diff))
     provenance = np.maximum.accumulate(np.where(update, np.arange(cfg.K), -1), axis=1)
-    final_dev = float(np.sqrt(np.mean((action - reference.actions[-1]) ** 2)))
+    sq = ((action - reference.actions[..., -1, :, :]) ** 2).reshape(*lead, -1)
+    final_dev = np.sqrt(np.mean(sq, axis=-1))
     report = RunReport(
-        errors=errors,
+        errors=block_errors(run, reference),
         update_mask=update,
         provenance=provenance,
-        final_action_l2=final_dev,
+        final_action_l2=final_dev if lead else float(final_dev),
         flops=flops_estimate(cfg, plan),
     )
     return action, report

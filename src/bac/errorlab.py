@@ -37,7 +37,6 @@ import numpy as np
 from .blocks import BlockId
 from .denoiser import (
     FfnWeights,
-    FfnWeights as FfnParams,  # noqa: F401  the lab's name for it, kept for importers
     ToyDenoiser,
     block_residual,
     denoise_full,
@@ -47,6 +46,7 @@ from .denoiser import (
     pre_block_states,
     synth_episode,
 )
+from .engine import block_errors
 from .errors import CorrelationError, DegenerateFeatureError, DimensionError
 from .rng import derive_seed
 
@@ -226,9 +226,11 @@ def error_surge_experiment(
     Seeds are an array axis: the episodes of all seeds (each
     ``synth_episode(config, derive_seed(seed, 0))``) run as one batched full
     pass and one batched ``execute`` under the frozen mask, and each beta is
-    one batched ``block_residual``.  The errors are the L2 distances of the
-    served residuals to the reference, as in ``engine.run_cached``, and the
-    downstream inputs come from ``pre_block_states`` of each run's trace.
+    one batched ``block_residual``.  The errors come from
+    ``engine.block_errors``, the one error pass that ``engine.run_cached``
+    uses too; this function runs ``execute`` itself rather than
+    ``run_cached``, because the downstream inputs come from
+    ``pre_block_states`` of each run's trace.
     """
     cfg = denoiser.config
     upstream = BlockId(max(cfg.layers - 2, 0), "FFN")
@@ -245,9 +247,8 @@ def error_surge_experiment(
     frozen[upstream.ordinal, 1:] = False  # the upstream block keeps its step-0 cache
     _, ref = denoise_full(denoiser, init, obs)
     _, run = execute(denoiser, frozen, init, obs)
-    diff = np.stack([run.served(i) - ref.residuals[:, i]
-                     for i in (upstream.ordinal, downstream.ordinal)], axis=1)
-    staleness, down_err = np.sqrt(np.einsum("sbtij,sbtij->bst", diff, diff))
+    errors = block_errors(run, ref)
+    staleness, down_err = errors[:, upstream.ordinal], errors[:, downstream.ordinal]
     x_ref = pre_block_states(denoiser, ref, init, downstream)
     deviations = pre_block_states(denoiser, run, init, downstream) - x_ref  # x_bad - x_ref
     up_err = np.array([_norms(d) for d in deviations])

@@ -13,10 +13,9 @@ import pytest
 from bac.blocks import BlockId, canonical_blocks
 from bac.bua import SchedulePlan, bubble_union, select_upstream_blocks
 from bac.config import DenoiserConfig
-from bac.denoiser import MacCounter, build_denoiser, denoise_full, synth_episode
+from bac.denoiser import FfnWeights, MacCounter, build_denoiser, denoise_full, synth_episode
 from bac.engine import flops_estimate, run_cached, uniform_plan
 from bac.errorlab import (
-    FfnParams,
     error_surge_experiment,
     linear_response,
     ln_eps_free,
@@ -83,30 +82,27 @@ def acs_vs_uniform(default_denoiser, default_config):
     uniform = uniform_plan(cfg.K, 10, cfg.layers)
 
     def max_ffn_update_error(report, plan):
-        worst = 0.0
+        """Each episode's largest FFN error at the plan's update steps."""
+        worst = np.zeros(len(report.errors))
         for b in canonical_blocks(cfg.layers):
-            if b.kind != "FFN":
-                continue
-            for t in plan.schedule(b).steps:
-                worst = max(worst, report.errors[b.ordinal, t])
+            if b.kind == "FFN":
+                steps = list(plan.schedule(b).steps)
+                worst = np.maximum(worst, report.errors[:, b.ordinal, steps].max(axis=-1))
         return worst
 
-    rows = []
-    for seed in range(20):
-        init, obs = synth_episode(cfg, derive_seed(1000 + seed, 0))
-        _, ref = denoise_full(default_denoiser, init, obs)
-        _, r_uni = run_cached(default_denoiser, uniform, init, obs, reference=ref)
-        _, r_acs = run_cached(default_denoiser, naive, init, obs, reference=ref)
-        _, r_rep = run_cached(default_denoiser, repaired, init, obs, reference=ref)
-        rows.append(
-            (
-                r_acs.final_action_l2,
-                r_uni.final_action_l2,
-                max_ffn_update_error(r_acs, naive),
-                max_ffn_update_error(r_rep, repaired),
-            )
-        )
-    return np.array(rows)
+    # the 20 seeds run as one batch: one full reference, one cached run per plan
+    runs = [synth_episode(cfg, derive_seed(1000 + seed, 0)) for seed in range(20)]
+    init, obs = (np.stack(arrays) for arrays in zip(*runs))
+    _, ref = denoise_full(default_denoiser, init, obs)
+    _, r_uni = run_cached(default_denoiser, uniform, init, obs, reference=ref)
+    _, r_acs = run_cached(default_denoiser, naive, init, obs, reference=ref)
+    _, r_rep = run_cached(default_denoiser, repaired, init, obs, reference=ref)
+    return np.stack([
+        r_acs.final_action_l2,
+        r_uni.final_action_l2,
+        max_ffn_update_error(r_acs, naive),
+        max_ffn_update_error(r_rep, repaired),
+    ], axis=1)
 
 
 # -- criteria ------------------------------------------------------------------
@@ -157,7 +153,7 @@ def test_criterion_05_first_order_remainder():
         d, d_ff = 64, 256
         ratios = []
         for _ in range(50):
-            params = FfnParams(
+            params = FfnWeights(
                 w1=rng.normal(size=(d, d_ff)) / np.sqrt(d),
                 b1=rng.normal(size=d_ff) * 0.1,
                 w2=rng.normal(size=(d_ff, d)) / np.sqrt(d_ff),
@@ -172,7 +168,7 @@ def test_criterion_05_first_order_remainder():
         med = float(np.median(ratios))
         assert 3.5 <= med <= 4.5, f"median ratio {med:.3f}"
 
-        params2 = FfnParams(
+        params2 = FfnWeights(
             w1=rng.normal(size=(2, 8)),
             b1=rng.normal(size=8),
             w2=rng.normal(size=(8, 2)),

@@ -13,7 +13,6 @@ from bac.config import DenoiserConfig
 from bac.denoiser import (
     GELU_A,
     GELU_C,
-    FeatureTrace,
     MacCounter,
     _attend,
     _causal_mask,
@@ -415,24 +414,6 @@ def test_gelu_equals_plain_form_bitwise_and_keeps_its_input(x, scale):
     assert np.array_equal(x, before)
 
 
-@pytest.mark.parametrize("E", [None, 2])
-def test_pre_block_states_views_equal_gathers(small_denoiser, small_config, monkeypatch, E):
-    if E is None:
-        init, obs = synth_episode(small_config, 21)
-    else:
-        init, obs = _episodes(small_config, 21, E)
-    _, trace = denoise_full(small_denoiser, init, obs)
-    computed = trace.computed.copy()
-    blocks = canonical_blocks(small_config.layers)
-    views = [pre_block_states(small_denoiser, trace, init, b) for b in blocks]
-    # the cached-trace path: one served() gather per upstream block
-    monkeypatch.setattr(FeatureTrace, "is_full", property(lambda self: False))
-    gathers = [pre_block_states(small_denoiser, trace, init, b) for b in blocks]
-    for view, gather in zip(views, gathers):
-        assert np.array_equal(view, gather)
-    assert np.array_equal(trace.computed, computed)
-
-
 # -- the compact trace: each computed residual once, plus the slot it serves ----
 
 
@@ -502,7 +483,9 @@ def test_batched_execute_equals_row_by_row(small_denoiser, E, seed, density):
     mac = MacCounter()
     action, trace = execute(small_denoiser, update, inits, obss, mac=mac)
     assert trace.computed.shape == (E, update.sum(), cfg.action_tokens, cfg.d_model)
+    computed = trace.computed.copy()
     states = [pre_block_states(small_denoiser, trace, inits, b) for b in blocks]
+    assert np.array_equal(trace.computed, computed)  # the gathers leave the trace as it was
     assert states[0].shape == (E, cfg.K, cfg.action_tokens, cfg.d_model)
     row_macs = 0
     for e in range(E):

@@ -1,7 +1,10 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bac import denoiser as denoiser_module
 from bac.blocks import BlockId, canonical_blocks
@@ -19,7 +22,7 @@ from bac.engine import (
     uniform_plan,
 )
 from bac.profiler import similarity_matrix
-from bac.errors import BudgetError, ConfigError, ConsistencyError, DimensionError, PlanError
+from bac.errors import BudgetError, ConfigError, ConsistencyError, PlanError
 from bac.rng import derive_seed
 from bac.scheduler import Schedule
 
@@ -196,14 +199,67 @@ def test_run_cached_needs_a_full_reference_of_its_config(small_denoiser, small_c
     assert mac.count == 0
 
 
-def test_run_cached_rejects_batched_episodes(small_denoiser, small_config, small_episode):
+def test_run_cached_reference_has_the_runs_episode_axis(small_denoiser, small_episode):
+    """A batched reference for a one-episode run, or a one-episode reference
+    for a batched run, fails by name with both shapes, before the run."""
     init, obs = small_episode
+    inits, obss = np.stack([init, init]), np.stack([obs, obs])
+    one = denoise_full(small_denoiser, init, obs)[1]
+    two = denoise_full(small_denoiser, inits, obss)[1]
+    plan = _plan(small_denoiser.config, lambda b: (0, 5))
+
+    def shapes(trace):
+        return re.escape(str((trace.computed.shape, trace.slot.shape, trace.actions.shape)))
+
     mac = MacCounter()
-    with pytest.raises(DimensionError, match=r"\(2, 4, 3\)"):
-        run_cached(small_denoiser, full_plan(small_config), np.stack([init, init]),
-                   np.stack([obs, obs]), reference=denoise_full(small_denoiser, init, obs)[1],
-                   mac=mac)
+    for noise, o, bad, good in ((init, obs, two, one), (inits, obss, one, two)):
+        with pytest.raises(ConsistencyError, match=f"{shapes(bad)}, want {shapes(good)}"):
+            run_cached(small_denoiser, plan, noise, o, reference=bad, mac=mac)
     assert mac.count == 0
+
+
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@settings(max_examples=30, deadline=None)
+def test_batched_run_cached_equals_row_by_row(small_denoiser, small_config, E, seed, density):
+    """E episodes as one batch: every row's action, errors and deviation equal
+    its own one-episode run bit for bit, the plan's fields are shared, and the
+    MACs are the rows' sum."""
+    update = np.random.default_rng(seed).random((3 * small_config.layers, small_config.K))
+    update = update < density
+    update[:, 0] = True
+    plan = _plan(small_config, lambda b: np.flatnonzero(update[b.ordinal]).tolist())
+    runs = [synth_episode(small_config, derive_seed(seed, e)) for e in range(E)]
+    inits, obss = (np.stack(arrays) for arrays in zip(*runs))
+    mac = MacCounter()
+    action, report = run_cached(small_denoiser, plan, inits, obss, mac=mac,
+                                reference=denoise_full(small_denoiser, inits, obss)[1])
+    assert report.errors.shape == (E, *update.shape)
+    assert report.final_action_l2.shape == (E,)
+    row_macs = 0
+    for e, (init, obs) in enumerate(runs):
+        row_mac = MacCounter()
+        want, row = run_cached(small_denoiser, plan, init, obs, mac=row_mac,
+                               reference=denoise_full(small_denoiser, init, obs)[1])
+        row_macs += row_mac.count
+        assert np.array_equal(action[e], want)
+        assert np.array_equal(report.errors[e], row.errors)
+        assert type(row.final_action_l2) is float
+        assert report.final_action_l2[e] == row.final_action_l2
+        assert np.array_equal(report.update_mask, row.update_mask)
+        assert np.array_equal(report.provenance, row.provenance)
+        assert report.flops == row.flops
+    assert mac.count == row_macs
+
+
+def test_batched_report_block_means_average_episodes_and_steps(small_denoiser, small_config):
+    runs = [synth_episode(small_config, derive_seed(5, e)) for e in range(3)]
+    inits, obss = (np.stack(arrays) for arrays in zip(*runs))
+    _, report = run_cached(small_denoiser, uniform_plan(small_config.K, 4, small_config.layers),
+                           inits, obss, reference=denoise_full(small_denoiser, inits, obss)[1])
+    means = report.block_mean_errors(small_config.layers)
+    assert list(means) == list(canonical_blocks(small_config.layers))
+    for block, mean in means.items():
+        assert mean == report.errors[:, block.ordinal].mean()
 
 
 # -- cost model --------------------------------------------------------------------

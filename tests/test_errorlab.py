@@ -40,11 +40,8 @@ def test_random_ffn_draw_order():
 
 
 def test_lab_ffn_is_the_denoisers():
-    """One feed-forward type and one MLP: the lab's old name is the denoiser's
-    class, and ``ffn_apply`` gives the bytes of the plain out-of-place formula."""
-    from bac.errorlab import FfnParams
-
-    assert FfnParams is FfnWeights
+    """One feed-forward type and one MLP: ``ffn_apply`` on the denoiser's
+    weights type gives the bytes of the plain out-of-place formula."""
     rng = np.random.default_rng(8)
     params = random_ffn(rng, 8)
     x = rng.normal(size=8)
@@ -246,7 +243,8 @@ def test_surge_correlation_positive(surge_stats):
 
 
 def test_surge_errors_equal_run_cached_errors():
-    """The surge's error rows are ``run_cached``'s, under the frozen-upstream plan."""
+    """The surge's error rows are ``run_cached``'s, under the frozen-upstream plan:
+    its mask is that plan's, and both measure through ``block_errors``."""
     cfg = DenoiserConfig(layers=4, d_model=32, heads=4, K=40)
     den = build_denoiser(cfg)
     stats = error_surge_experiment(den, seeds=[1])
