@@ -143,14 +143,12 @@ def _cmd_schedule(args) -> int:
         schedules = {
             b: solve_schedule_anchored(matrices[b], args.budget) for b in matrices
         }
-        plan_layers = config.layers
     else:
         schedules = {}
         for block, stats in profile.blocks.items():
             sched, _ = solve_schedule(stats.s, profile.K, args.budget)
             schedules[block] = sched
-        plan_layers = profile.layer_count
-    fileio.write_plan(SchedulePlan(layers=plan_layers, schedules=schedules), args.out)
+    fileio.write_plan(SchedulePlan(layers=profile.layer_count, schedules=schedules), args.out)
     return 0
 
 
@@ -191,10 +189,11 @@ def _cmd_run(args) -> int:
     report, *baseline = [run_cached(denoiser, p, init, obs, reference=reference)[1]
                          for p in plans]
 
-    fileio.write_report(report, config.layers, args.report,
-                        baseline=baseline[0] if baseline else None)
+    # Paths by keyword: perfbench's tracer reads a writer's path from its third
+    # positional argument or kwargs["path"], so a positional path fails every traced run.
+    fileio.write_report(report, path=args.report, baseline=baseline[0] if baseline else None)
     if args.surface:
-        fileio.write_surface_csv(report, config.layers, args.surface)
+        fileio.write_surface_csv(report, path=args.surface)
     return 0
 
 

@@ -99,12 +99,12 @@ def gelu_prime(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + th) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * GELU_A * (x * x))
 
 
-def layer_norm(h: np.ndarray, gamma: np.ndarray, eps: float = LN_EPS) -> np.ndarray:
+def layer_norm(h: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Row-wise LayerNorm with zero bias; population variance over features.
 
     One centering pass: the sums and divisions are the ones ``np.mean`` and
     ``np.var`` perform, so the result equals
-    ``(h - h.mean(-1)) / sqrt(h.var(-1) + eps) * gamma`` bit for bit.
+    ``(h - h.mean(-1)) / sqrt(h.var(-1) + LN_EPS) * gamma`` bit for bit.
     """
     n = h.shape[-1]
     mean = h.sum(axis=-1, keepdims=True)
@@ -112,7 +112,7 @@ def layer_norm(h: np.ndarray, gamma: np.ndarray, eps: float = LN_EPS) -> np.ndar
     c = h - mean
     var = (c * c).sum(axis=-1, keepdims=True)
     var /= n
-    var += eps
+    var += LN_EPS
     c /= np.sqrt(var, out=var)
     c *= gamma
     return c
@@ -211,11 +211,6 @@ class FeatureTrace:
     slot: np.ndarray      # (3L, K) index into computed
     actions: np.ndarray   # (K, T, action_dim)
 
-    @property
-    def is_full(self) -> bool:
-        """True when every block computed at every step, as in a full pass."""
-        return self.computed.shape[-3] == self.slot.size
-
     def served(self, i: int) -> np.ndarray:
         """Block i's served residual at every step, (K, T, d_model) after any
         leading axes: one gather, so a new array."""
@@ -224,7 +219,7 @@ class FeatureTrace:
     @property
     def residuals(self) -> np.ndarray:
         """Dense (3L, K, T, d_model) residuals, after any leading axes, of a full pass."""
-        if not self.is_full:
+        if self.computed.shape[-3] != self.slot.size:
             raise ValueError("a cached trace has no dense residuals; read it through served()")
         *lead, _, T, d = self.computed.shape
         return self.computed.reshape(*lead, *self.slot.shape, T, d)

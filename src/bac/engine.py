@@ -68,6 +68,8 @@ class RunReport:
 
     A batched run puts a leading episode axis on ``errors`` and
     ``final_action_l2`` (then an (E,) array); the plan's fields stay shared.
+    The report writers in ``fileio`` read the layer count and the horizon K
+    from ``update_mask``, and refuse a batched report: a file holds one run.
     """
 
     errors: np.ndarray        # (3L, K) L2 distance to the reference residual
@@ -76,11 +78,11 @@ class RunReport:
     final_action_l2: float | np.ndarray  # rms deviation of the final action
     flops: FlopsBreakdown
 
-    def block_mean_errors(self, layers: int) -> dict[BlockId, float]:
+    def block_mean_errors(self) -> dict[BlockId, float]:
         """Each block's error averaged over steps, and over episodes if batched."""
         return {
             b: float(self.errors[..., b.ordinal, :].mean())
-            for b in canonical_blocks(layers)
+            for b in canonical_blocks(len(self.update_mask) // 3)
         }
 
 
@@ -118,13 +120,13 @@ def uniform_plan(K: int, budget_S: int, layers: int) -> SchedulePlan:
 
 
 def flops_estimate(config: DenoiserConfig, plan: SchedulePlan) -> FlopsBreakdown:
-    """Analytic MAC counts for a full-precision and a cached run of the plan."""
+    """Analytic MAC counts for a full-precision and a cached run of the plan;
+    ``PlanError`` or ``ConsistencyError`` if its layers or K differ from the
+    config's, so ``run_cached`` calls it before running anything."""
+    if plan.layers != config.layers:
+        raise PlanError(f"plan layers={plan.layers} != config layers={config.layers}")
     if plan.K != config.K:
         raise ConsistencyError(f"plan K={plan.K} != config K={config.K}")
-    if plan.layers != config.layers:
-        raise ConsistencyError(
-            f"plan layers={plan.layers} != config layers={config.layers}"
-        )
     t, d = config.action_tokens, config.d_model
     overhead = overhead_per_step(config)
     decoder_full = 0
@@ -252,10 +254,7 @@ def run_cached(
     one-episode run bit for bit.
     """
     cfg = denoiser.config
-    if plan.layers != cfg.layers:
-        raise PlanError(f"plan layers={plan.layers} != config layers={cfg.layers}")
-    if plan.K != cfg.K:
-        raise ConsistencyError(f"plan K={plan.K} != config K={cfg.K}")
+    flops = flops_estimate(cfg, plan)
     n, t, lead = 3 * cfg.layers, cfg.action_tokens, np.shape(init_noise)[:-2]
     got = (reference.computed.shape, reference.slot.shape, reference.actions.shape)
     want = ((*lead, n * cfg.K, t, cfg.d_model), (n, cfg.K), (*lead, cfg.K, t, cfg.action_dim))
@@ -277,6 +276,6 @@ def run_cached(
         update_mask=update,
         provenance=provenance,
         final_action_l2=final_dev if lead else float(final_dev),
-        flops=flops_estimate(cfg, plan),
+        flops=flops,
     )
     return action, report

@@ -22,7 +22,7 @@ import numpy as np
 from .blocks import BlockId, block_at, canonical_blocks, parse_block_name
 from .bua import SchedulePlan
 from .engine import RunReport
-from .errors import ConsistencyError, FormatError
+from .errors import ConsistencyError, DimensionError, FormatError
 from .profiler import BlockStats, SimilarityProfile
 from .scheduler import Schedule, ScheduleError
 
@@ -185,12 +185,19 @@ def dump_added_steps(added: dict[BlockId, tuple[int, ...]]) -> str:
 # -- report -----------------------------------------------------------------
 
 
-def dump_report(
-    report: RunReport,
-    layers: int,
-    baseline: RunReport | None = None,
-) -> str:
+def _one_run_shape(report: RunReport) -> tuple[int, int]:
+    """The (layers, K) of a one-episode report, read from its update mask;
+    ``DimensionError`` for a batched one."""
+    if report.errors.ndim != 2:
+        raise DimensionError(
+            f"a report file holds one run: errors shape {report.errors.shape}, want (3L, K)")
+    n, K = report.update_mask.shape
+    return n // 3, K
+
+
+def dump_report(report: RunReport, baseline: RunReport | None = None) -> str:
     def section(rep: RunReport, prefix: str = "") -> list[str]:
+        _one_run_shape(rep)
         f = rep.flops
         lines = [
             f"{prefix}flops_full={f.flops_full}",
@@ -201,7 +208,7 @@ def dump_report(
             f"{prefix}decoder_flops_cached={f.decoder_flops_cached}",
             f"{prefix}decoder_reduction={fmt_float(f.decoder_reduction)}",
         ]
-        for block, err in rep.block_mean_errors(layers).items():
+        for block, err in rep.block_mean_errors().items():
             lines.append(f"{prefix}err.{block.name}={fmt_float(err)}")
         return lines
 
@@ -240,19 +247,18 @@ def parse_report(text: str) -> dict[str, float]:
     return values
 
 
-def write_report(
-    report: RunReport, layers: int, path: str, baseline: RunReport | None = None
-) -> None:
+def write_report(report: RunReport, path: str, baseline: RunReport | None = None) -> None:
+    text = dump_report(report, baseline)  # before the file opens: a refused report writes none
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_report(report, layers, baseline))
+        fh.write(text)
 
 
 # -- CSV dumps ----------------------------------------------------------------
 
 
-def write_surface_csv(report: RunReport, layers: int, path: str) -> None:
+def write_surface_csv(report: RunReport, path: str) -> None:
     """Error surface (rows: blocks in canonical order) plus <path>.mask."""
-    K = report.errors.shape[1]
+    layers, K = _one_run_shape(report)
     header = "block," + ",".join(str(t) for t in range(K))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")

@@ -1,9 +1,10 @@
 """Self-contained invariant suite behind `bac verify`.
 
-Each check returns (name, passed, detail); `run_all` executes the suite on
-desk-scale inputs in well under a minute.  Checks accept an injectable solver
-so a deliberately broken implementation is detectable (used by the tests as a
-mutation harness).
+Each check returns (name, passed, detail) from its own fixed seed and case
+count; `run_all`, which takes no arguments, executes the suite on desk-scale
+inputs in well under a minute.  Only the three solver checks accept an
+injectable solver, so a deliberately broken implementation is detectable (used
+by the tests as a mutation harness).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .bua import SchedulePlan, bubble_union, downstream_ffns
 from .config import DenoiserConfig
 from .denoiser import FfnWeights, build_denoiser, denoise_full, synth_episode
 from .engine import run_cached
-from .errorlab import linear_response, ln_operators, random_ffn, verify_first_order
+from .errorlab import linear_response, ln_eps_free, ln_operators, random_ffn, verify_first_order
 from .rng import derive_seed
 from .scheduler import (
     Schedule,
@@ -36,10 +37,10 @@ def _default_solver(s, K, budget):
     return sched
 
 
-def check_dp_vs_brute_force(solver=_default_solver, cases: int = 60, seed: int = 2024) -> Check:
-    rng = np.random.default_rng(seed)
+def check_dp_vs_brute_force(solver=_default_solver) -> Check:
+    rng = np.random.default_rng(2024)
     worst = 0.0
-    for _ in range(cases):
+    for _ in range(60):
         K = int(rng.integers(5, 15))
         budget = int(rng.integers(1, min(9, K) + 1))
         s = rng.uniform(-1.0, 1.0, size=K - 1)
@@ -49,12 +50,10 @@ def check_dp_vs_brute_force(solver=_default_solver, cases: int = 60, seed: int =
     return ("dp-vs-brute-force", worst <= 1e-9, f"max_abs_gap={worst:.3e}")
 
 
-def check_anchored_dp_vs_brute_force(
-    solver=solve_schedule_anchored, cases: int = 40, seed: int = 2026
-) -> Check:
-    rng = np.random.default_rng(seed)
+def check_anchored_dp_vs_brute_force(solver=solve_schedule_anchored) -> Check:
+    rng = np.random.default_rng(2026)
     worst = 0.0
-    for _ in range(cases):
+    for _ in range(40):
         K = int(rng.integers(5, 13))
         budget = int(rng.integers(1, min(7, K) + 1))
         sim = rng.uniform(-1.0, 1.0, size=(K, K))
@@ -64,10 +63,10 @@ def check_anchored_dp_vs_brute_force(
     return ("anchored-dp-vs-brute-force", worst <= 1e-9, f"max_abs_gap={worst:.3e}")
 
 
-def check_decomposition_identity(solver=_default_solver, cases: int = 60, seed: int = 2025) -> Check:
-    rng = np.random.default_rng(seed)
+def check_decomposition_identity(solver=_default_solver) -> Check:
+    rng = np.random.default_rng(2025)
     worst = 0.0
-    for _ in range(cases):
+    for _ in range(60):
         K = int(rng.integers(5, 25))
         budget = int(rng.integers(1, min(9, K) + 1))
         s = rng.uniform(-1.0, 1.0, size=K - 1)
@@ -77,8 +76,8 @@ def check_decomposition_identity(solver=_default_solver, cases: int = 60, seed: 
     return ("decomposition-identity", worst <= 1e-9, f"max_abs_gap={worst:.3e}")
 
 
-def check_linear_response_suite(seed: int = 77) -> Check:
-    rng = np.random.default_rng(seed)
+def check_linear_response_suite() -> Check:
+    rng = np.random.default_rng(77)
     d = 32
     ok = True
     details = []
@@ -130,9 +129,8 @@ def check_linear_response_suite(seed: int = 77) -> Check:
     return ("first-order-response", ok, "; ".join(details))
 
 
-def _fd_ln_jacobian(x: np.ndarray, gamma: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    from .errorlab import ln_eps_free
-
+def _fd_ln_jacobian(x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    h = 1e-5
     d = x.shape[0]
     jac = np.empty((d, d))
     for j in range(d):
@@ -142,8 +140,9 @@ def _fd_ln_jacobian(x: np.ndarray, gamma: np.ndarray, h: float = 1e-5) -> np.nda
     return jac
 
 
-def check_bubble_union_properties(seed: int = 31, cases: int = 20) -> Check:
-    rng = np.random.default_rng(seed)
+def check_bubble_union_properties() -> Check:
+    cases = 20
+    rng = np.random.default_rng(31)
     for _ in range(cases):
         layers = int(rng.integers(2, 6))
         K = int(rng.integers(8, 40))
@@ -180,7 +179,8 @@ def check_bubble_union_properties(seed: int = 31, cases: int = 20) -> Check:
     return ("bubble-union-properties", True, f"plans_checked={cases}")
 
 
-def check_bit_exact_full_plan(seeds=(3, 11)) -> Check:
+def check_bit_exact_full_plan() -> Check:
+    seeds = (3, 11)
     config = DenoiserConfig(layers=3, d_model=32, heads=4, K=40)
     denoiser = build_denoiser(config)
     full = Schedule(tuple(range(config.K)), config.K)
@@ -196,14 +196,14 @@ def check_bit_exact_full_plan(seeds=(3, 11)) -> Check:
             return ("bit-exact-full-plan", False, f"seed {seed} diverged")
         if report.final_action_l2 != 0.0:
             return ("bit-exact-full-plan", False, f"seed {seed} nonzero deviation")
-    return ("bit-exact-full-plan", True, f"seeds_checked={len(tuple(seeds))}")
+    return ("bit-exact-full-plan", True, f"seeds_checked={len(seeds)}")
 
 
-def run_all(solver=_default_solver) -> list[Check]:
+def run_all() -> list[Check]:
     return [
-        check_dp_vs_brute_force(solver),
+        check_dp_vs_brute_force(),
         check_anchored_dp_vs_brute_force(),
-        check_decomposition_identity(solver),
+        check_decomposition_identity(),
         check_linear_response_suite(),
         check_bubble_union_properties(),
         check_bit_exact_full_plan(),

@@ -167,15 +167,17 @@ def test_plan_mismatch_errors(small_denoiser, small_config, small_episode):
     other = DenoiserConfig(layers=small_config.layers, d_model=16, heads=2,
                            action_tokens=4, cond_tokens=2, action_dim=3,
                            K=small_config.K + 1, seed=1)
+    mac = MacCounter()
     with pytest.raises(ConsistencyError):
         run_cached(small_denoiser, full_plan(other), init, obs,
-                   reference=denoise_full(small_denoiser, init, obs)[1])
+                   reference=denoise_full(small_denoiser, init, obs)[1], mac=mac)
     wrong_layers = DenoiserConfig(layers=small_config.layers + 1, d_model=16,
                                   heads=2, action_tokens=4, cond_tokens=2,
                                   action_dim=3, K=small_config.K, seed=1)
     with pytest.raises(PlanError):
         run_cached(small_denoiser, full_plan(wrong_layers), init, obs,
-                   reference=denoise_full(small_denoiser, init, obs)[1])
+                   reference=denoise_full(small_denoiser, init, obs)[1], mac=mac)
+    assert mac.count == 0  # refused before execute did any work
 
 
 def test_run_cached_needs_a_full_reference_of_its_config(small_denoiser, small_config,
@@ -256,7 +258,7 @@ def test_batched_report_block_means_average_episodes_and_steps(small_denoiser, s
     inits, obss = (np.stack(arrays) for arrays in zip(*runs))
     _, report = run_cached(small_denoiser, uniform_plan(small_config.K, 4, small_config.layers),
                            inits, obss, reference=denoise_full(small_denoiser, inits, obss)[1])
-    means = report.block_mean_errors(small_config.layers)
+    means = report.block_mean_errors()
     assert list(means) == list(canonical_blocks(small_config.layers))
     for block, mean in means.items():
         assert mean == report.errors[:, block.ordinal].mean()

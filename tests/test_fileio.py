@@ -1,3 +1,4 @@
+import re
 import signal
 from contextlib import contextmanager
 from pathlib import Path
@@ -12,9 +13,11 @@ from bac import fileio
 DATA = Path(__file__).parent / "data"
 from bac.blocks import KINDS, BlockId, canonical_blocks
 from bac.bua import SchedulePlan
+from bac.denoiser import denoise_full, synth_episode
 from bac.engine import FlopsBreakdown, RunReport, run_cached, uniform_plan
-from bac.errors import BacError, ConsistencyError, FormatError
+from bac.errors import BacError, ConsistencyError, DimensionError, FormatError
 from bac.profiler import BlockStats, SimilarityProfile, profile_task
+from bac.rng import derive_seed
 from bac.scheduler import Schedule
 
 
@@ -325,7 +328,7 @@ def report(small_denoiser_module):
 
 def test_report_round_trip(report, small_denoiser_module):
     layers = small_denoiser_module.config.layers
-    text = fileio.dump_report(report, layers)
+    text = fileio.dump_report(report)
     values = fileio.parse_report(text)
     for key in fileio.MANDATORY_REPORT_KEYS:
         assert key in values
@@ -336,9 +339,8 @@ def test_report_round_trip(report, small_denoiser_module):
     assert fileio.parse_report(text) == fileio.parse_report(text)
 
 
-def test_report_with_baseline_keys(report, small_denoiser_module):
-    layers = small_denoiser_module.config.layers
-    text = fileio.dump_report(report, layers, baseline=report)
+def test_report_with_baseline_keys(report):
+    text = fileio.dump_report(report, baseline=report)
     values = fileio.parse_report(text)
     assert values["baseline_speedup"] == values["speedup"]
 
@@ -358,7 +360,7 @@ _INT_REPORT_KEYS = ("flops_full", "flops_cached", "decoder_flops_full", "decoder
 
 @st.composite
 def reports(draw):
-    """A (report, layers, baseline) triple with arbitrary finite figures."""
+    """A (report, baseline) pair with arbitrary finite figures."""
     layers, K = draw(st.integers(1, 3)), draw(st.integers(2, 8))
     count = st.integers(0, 2**53)
     real = st.floats(0.0, 1e300)
@@ -371,14 +373,14 @@ def reports(draw):
         none = np.zeros((3 * layers, K), dtype=bool)
         return RunReport(errors, none, none.astype(int), draw(real), flops)
 
-    return one(), layers, one() if draw(st.booleans()) else None
+    return one(), one() if draw(st.booleans()) else None
 
 
 @given(reports())
 @settings(max_examples=100, deadline=None)
 def test_report_dump_parse_is_stable(case):
-    report, layers, baseline = case
-    text = fileio.dump_report(report, layers, baseline)
+    report, baseline = case
+    text = fileio.dump_report(report, baseline)
     values = fileio.parse_report(text)
     lines = text.splitlines()
     assert list(values) == [line.partition("=")[0] for line in lines]
@@ -413,13 +415,33 @@ def test_parse_report_raises_only_bac_errors(text):
 def test_surface_csv(tmp_path, report, small_denoiser_module):
     layers = small_denoiser_module.config.layers
     path = tmp_path / "surface.csv"
-    fileio.write_surface_csv(report, layers, str(path))
+    fileio.write_surface_csv(report, str(path))
     rows = path.read_text().splitlines()
     assert rows[0].startswith("block,0,1,")
     assert len(rows) == 1 + 3 * layers
     assert rows[1].split(",")[0] == "layers.0.SA"
     mask_rows = (tmp_path / "surface.csv.mask").read_text().splitlines()
     assert len(mask_rows) == len(rows)
+
+
+def test_writers_refuse_a_batched_report_by_name_before_opening_a_file(
+        tmp_path, report, small_denoiser_module):
+    """A report file holds one run: a 3-episode report, written alone or as
+    the baseline, raises ``DimensionError`` naming its errors shape, and no
+    file is created."""
+    cfg = small_denoiser_module.config
+    runs = [synth_episode(cfg, derive_seed(5, e)) for e in range(3)]
+    inits, obss = (np.stack(arrays) for arrays in zip(*runs))
+    _, batched = run_cached(small_denoiser_module, uniform_plan(cfg.K, 4, cfg.layers), inits,
+                            obss, reference=denoise_full(small_denoiser_module, inits, obss)[1])
+    shape = re.escape(str(batched.errors.shape))
+    with pytest.raises(DimensionError, match=shape):
+        fileio.write_report(batched, str(tmp_path / "run.report"))
+    with pytest.raises(DimensionError, match=shape):
+        fileio.write_report(report, str(tmp_path / "run.report"), baseline=batched)
+    with pytest.raises(DimensionError, match=shape):
+        fileio.write_surface_csv(batched, str(tmp_path / "surface.csv"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_matrix_and_curve_csv(tmp_path):
