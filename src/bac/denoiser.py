@@ -47,6 +47,24 @@ and each step's action.  A reused residual is not copied: at the default
 config a full pass holds 9.8 MB per episode and a cached run 4 KB per update.
 The hidden state that entered a block is not recorded; ``pre_block_states``
 rebuilds it from the served residuals with the loop's own adds, bit for bit.
+
+``execute`` can resume from the trace of an earlier run on the same inputs.
+Every step before the first one at which its update mask differs from that
+run's (read from the trace's slots; a full trace's mask is all true) is
+copied from the trace, and the loop starts at that step.
+``engine.run_cached`` passes its full reference, so a cached run computes
+nothing before its first reuse, step 0 at least.  The MAC count still charges
+the copied steps as if they had run, the way it charges ``cross_kv`` per CA
+call; ``block_cost`` and ``overhead_per_step`` give those charges.
+
+A step at which no block updates (90 of the 100 steps of a default
+``uniform:10`` run) sums the embedding and every served residual in one
+``np.add.reduce`` over the outer axis of a (3L + 1, *lead, T, d_model)
+buffer, which holds the embedding and each block's last served residual.
+A reduce over the outer axis adds left to right, as the per-block adds do,
+so no bit moves.  Steps where some block updates keep the per-block adds, and
+a run with no all-reuse step (a full pass) keeps its served residuals in a
+plain list and allocates no buffer.
 """
 
 from __future__ import annotations
@@ -429,12 +447,54 @@ def project_action(
     return out
 
 
+def block_cost(config: DenoiserConfig, kind: str) -> int:
+    """MACs of one call of a block of this kind on one episode, as its kernel charges them."""
+    t, d, tc = config.action_tokens, config.d_model, config.cond_tokens
+    if kind == "SA":
+        return 4 * t * d * d + 2 * t * t * d
+    if kind == "CA":
+        return 2 * t * d * d + 2 * tc * d * d + 2 * t * tc * d
+    return 8 * t * d * d
+
+
+def overhead_per_step(config: DenoiserConfig) -> int:
+    """MACs of one step outside the blocks on one episode: the input projection,
+    the observation encoding and the output projection."""
+    t, d, a, tc = (
+        config.action_tokens,
+        config.d_model,
+        config.action_dim,
+        config.cond_tokens,
+    )
+    return t * a * d + tc * a * d + t * d * a
+
+
+def _resume_step(trace: FeatureTrace, update: np.ndarray, lead: tuple[int, ...],
+                 config: DenoiserConfig) -> int:
+    """The first step at which ``update`` differs from the mask behind ``trace``
+    (K if none), or ``DimensionError`` if the trace does not fit the run."""
+    T, K = config.action_tokens, config.K
+    updates = int(trace.slot.flat[-1]) + 1  # the last slot is the last update
+    got = (trace.computed.shape, trace.slot.shape, trace.actions.shape)
+    want = ((*lead, updates, T, config.d_model), update.shape, (*lead, K, T, config.action_dim))
+    if got != want:
+        raise DimensionError(
+            f"resume trace does not fit this run: computed, slot and actions shapes {got}, "
+            f"want {want}")
+    # a block updated at step t where its slot moves on; step 0 always updates
+    before = np.ones_like(update)
+    before[:, 1:] = trace.slot[:, 1:] != trace.slot[:, :-1]
+    differs = np.flatnonzero((before != update).any(axis=0))
+    return int(differs[0]) if differs.size else K
+
+
 def execute(
     denoiser: ToyDenoiser,
     update: np.ndarray,
     init_noise: np.ndarray,
     obs: np.ndarray,
     mac: MacCounter | None = None,
+    resume: FeatureTrace | None = None,
 ) -> tuple[np.ndarray, FeatureTrace]:
     """Run all K steps under update-then-reuse, feeding each output into the next step.
 
@@ -446,6 +506,13 @@ def execute(
     once, at its block-major slot, and the slot each (block, step) served;
     ``pre_block_states`` rebuilds from it the hidden state that entered any
     block.
+
+    ``resume`` is an optional trace of a run on the same inputs.  Every step
+    before the first one at which ``update`` differs from that run's mask
+    (read from its slots) is served from it: those steps' computed residuals
+    and actions are copied, and the loop starts at that step.  The MACs
+    still charge the served steps as if they had run.  A trace whose shapes
+    do not fit the run raises ``DimensionError`` before any block runs.
 
     ``init_noise`` (E, T, a) and ``obs`` (E, obs_dim) run E episodes as one
     batch under the shared mask; every result gains a leading episode axis.
@@ -470,6 +537,7 @@ def execute(
     cold = np.flatnonzero(~update[:, 0])
     if cold.size:
         raise PlanError(f"{blocks[cold[0]].name}: cold cache, step 0 must be an update")
+    start = 0 if resume is None else _resume_step(resume, update, lead, cfg)
 
     # step 0 always updates, so no block's slots point into the block before it
     slot = np.cumsum(update.ravel()).reshape(update.shape) - 1
@@ -478,22 +546,47 @@ def execute(
     by_slot = np.moveaxis(computed, -3, 0)  # (updates, *lead, T, d)
     steps = update.T.tolist()  # steps[t][i]: plain bools, no numpy indexing per block
     slots = slot.T.tolist()
-    served: list[np.ndarray | None] = [None] * len(blocks)  # each block's last served residual
+    busy = update.any(axis=0).tolist()  # busy[t]: some block updates at step t
+    # fold: the embedding, then each block's last served residual; a step where
+    # no block updates reduces it over its outer axis, left to right as the
+    # per-block adds run.  A run without such a step needs no buffer.
+    fold = None if all(busy[start:]) else np.empty(
+        (len(blocks) + 1, *lead, cfg.action_tokens, cfg.d_model))
+    served = [None] * len(blocks) if fold is None else fold[1:]
+
+    if start:
+        done = update[:, :start]
+        computed[..., slot[:, :start][done], :, :] = \
+            resume.computed[..., resume.slot[:, :start][done], :, :]
+        actions[..., :start, :, :] = resume.actions[..., :start, :, :]
+        action = actions[..., start - 1, :, :].copy()
+        for i, s in enumerate(slot[:, start - 1].tolist()):
+            served[i] = by_slot[s]
 
     cross = cross_kv(denoiser, encode_obs(denoiser, obs, mac))
-    for t, (row, at) in enumerate(zip(steps, slots)):
+    for t in range(start, cfg.K):
         h = embed_action(denoiser, action, t, mac)  # a fresh array, so += is safe
-        for i, block in enumerate(blocks):
-            if row[i]:
-                served[i] = by_slot[at[i]] = block_residual(denoiser, block, h, cross, mac)
-            h += served[i]
+        if busy[t]:
+            row, at = steps[t], slots[t]
+            for i, block in enumerate(blocks):
+                if row[i]:
+                    served[i] = by_slot[at[i]] = block_residual(denoiser, block, h, cross, mac)
+                h += served[i]
+        else:
+            fold[0] = h
+            np.add.reduce(fold, axis=0, out=h)
         action = project_action(denoiser, h, mac)
         actions[..., t, :, :] = action
 
-    if mac is not None:  # one T x d_model add per reuse; the encoding, per step
+    if mac is not None:  # one T x d_model add per reuse; the encoding, per step;
+        # and the served steps' projections and blocks, as if they had run
         reuses = int(update.size - np.count_nonzero(update))
+        enc = cfg.cond_tokens * cfg.action_dim * cfg.d_model
+        prefix = start * (overhead_per_step(cfg) - enc) + sum(
+            block_cost(cfg, b.kind) * n
+            for b, n in zip(blocks, np.count_nonzero(update[:, :start], axis=1).tolist()))
         mac.add(math.prod(lead) * (cfg.action_tokens * cfg.d_model * reuses
-                                   + (cfg.K - 1) * cfg.cond_tokens * cfg.action_dim * cfg.d_model))
+                                   + (cfg.K - 1) * enc + prefix))
     return action, FeatureTrace(computed, slot, actions)
 
 

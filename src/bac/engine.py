@@ -13,7 +13,11 @@ reference run with identical inputs: block by block, each block's served
 residuals are gathered once, and the L2 distance of every step is one einsum.
 Like ``execute``, ``run_cached`` takes an optional leading episode axis: E
 episodes run as one batch under the plan's one mask, and each row equals its
-own run bit for bit.
+own run bit for bit.  It passes the reference to ``execute`` as the trace to
+resume from: the steps before the plan's first reuse, step 0 at least, are
+copied from the reference rather than computed, and a step at which no block
+updates is one reduce (see ``denoiser``).  The MAC counter still charges the
+copied steps, so a run's count equals ``flops_estimate``'s ``flops_cached``.
 
 Cost model (multiply-accumulates, elementwise ops free):
 
@@ -23,6 +27,9 @@ Cost model (multiply-accumulates, elementwise ops free):
     per-step overhead: input projection T*a*d, observation encoding Tc*a*d,
     output projection T*d*a
     reuse: charged T*d per reused block (the residual add)
+
+``denoiser.block_cost`` and ``denoiser.overhead_per_step`` give the block and
+per-step figures, which the denoiser's kernels charge too.
 
 The conditioning enters the count at every step: the observation encoding
 in the overhead, and the key and value projections of the tokens (2*Tc*d^2)
@@ -44,7 +51,14 @@ import numpy as np
 
 from .blocks import BlockId, canonical_blocks
 from .config import DenoiserConfig
-from .denoiser import FeatureTrace, MacCounter, ToyDenoiser, execute
+from .denoiser import (
+    FeatureTrace,
+    MacCounter,
+    ToyDenoiser,
+    block_cost,
+    execute,
+    overhead_per_step,
+)
 from .errors import ConfigError, ConsistencyError, PlanError
 from .bua import SchedulePlan
 from .scheduler import Schedule, check_budget
@@ -84,25 +98,6 @@ class RunReport:
             b: float(self.errors[..., b.ordinal, :].mean())
             for b in canonical_blocks(len(self.update_mask) // 3)
         }
-
-
-def block_cost(config: DenoiserConfig, kind: str) -> int:
-    t, d, tc = config.action_tokens, config.d_model, config.cond_tokens
-    if kind == "SA":
-        return 4 * t * d * d + 2 * t * t * d
-    if kind == "CA":
-        return 2 * t * d * d + 2 * tc * d * d + 2 * t * tc * d
-    return 8 * t * d * d
-
-
-def overhead_per_step(config: DenoiserConfig) -> int:
-    t, d, a, tc = (
-        config.action_tokens,
-        config.d_model,
-        config.action_dim,
-        config.cond_tokens,
-    )
-    return t * a * d + tc * a * d + t * d * a
 
 
 def uniform_plan(K: int, budget_S: int, layers: int) -> SchedulePlan:
@@ -177,6 +172,9 @@ def memory_estimate(
     number of full traces, which run as one batch (the profile's episodes do;
     for the two passes of ``export beta``, which run one after the other, this
     is an upper bound), or one episode when only cached runs are counted.
+    A cached run also holds ``execute``'s fold buffer, the embedding and the
+    3L served residuals of one step: (3L + 1) T x d_model floats per row,
+    counted once, since the cached runs run one episode, one after another.
     ``matrices`` adds what ``profiler.similarity_matrices`` holds: 3L K x K
     matrices, plus three (E, K, K) products inside one ``similarity_matrix``
     call.  Other temporaries of the forward loop and of the statistics are not
@@ -189,13 +187,14 @@ def memory_estimate(
     rows = full_traces or (1 if plans else 0)
     scores = 2 * rows * config.heads * t * max(t, config.cond_tokens)
     hidden = 3 * rows * t * d_ff
+    fold = (n + 1) * t * d if plans else 0
     sims = (n + 3 * full_traces) * K * K if matrices else 0
 
     def trace(updates: int) -> int:
         return updates * t * d + K * t * a + n * K
 
     updates = [sum(len(p.schedule(b)) for b in canonical_blocks(p.layers)) for p in plans]
-    return 8 * (weights + scores + hidden + sims + full_traces * trace(n * K)
+    return 8 * (weights + scores + hidden + fold + sims + full_traces * trace(n * K)
                 + sum(trace(u) for u in updates))
 
 
@@ -246,7 +245,8 @@ def run_cached(
 ) -> tuple[np.ndarray, RunReport]:
     """Execute the plan and report errors against ``reference``, the full
     trace of ``denoise_full`` on the same inputs (sweeps share one across
-    plans); the MAC counter sees the cached run alone.
+    plans); the MAC counter sees the cached run alone.  The run resumes from
+    ``reference``: the steps before the plan's first reuse are copied from it.
 
     ``init_noise`` (E, T, a), ``obs`` (E, obs_dim) and a reference of the same
     E episodes run as one batch, as in ``execute``: the action, ``errors`` and
@@ -266,7 +266,7 @@ def run_cached(
     for block in canonical_blocks(cfg.layers):
         update[block.ordinal, list(plan.schedule(block).steps)] = True
 
-    action, run = execute(denoiser, update, init_noise, obs, mac=mac)
+    action, run = execute(denoiser, update, init_noise, obs, mac=mac, resume=reference)
 
     provenance = np.maximum.accumulate(np.where(update, np.arange(cfg.K), -1), axis=1)
     sq = ((action - reference.actions[..., -1, :, :]) ** 2).reshape(*lead, -1)

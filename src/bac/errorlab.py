@@ -225,8 +225,9 @@ def error_surge_experiment(
 
     Seeds are an array axis: the episodes of all seeds (each
     ``synth_episode(config, derive_seed(seed, 0))``) run as one batched full
-    pass and one batched ``execute`` under the frozen mask, and each beta is
-    one batched ``block_residual``.  The errors come from
+    pass and one batched ``execute`` under the frozen mask, which resumes
+    from the full pass after step 0, and each beta is one batched
+    ``block_residual``.  The errors come from
     ``engine.block_errors``, the one error pass that ``engine.run_cached``
     uses too; this function runs ``execute`` itself rather than
     ``run_cached``, because the downstream inputs come from
@@ -246,7 +247,7 @@ def error_surge_experiment(
     frozen = np.ones((3 * cfg.layers, cfg.K), dtype=bool)
     frozen[upstream.ordinal, 1:] = False  # the upstream block keeps its step-0 cache
     _, ref = denoise_full(denoiser, init, obs)
-    _, run = execute(denoiser, frozen, init, obs)
+    _, run = execute(denoiser, frozen, init, obs, resume=ref)  # step 0 served from ref
     errors = block_errors(run, ref)
     staleness, down_err = errors[:, upstream.ordinal], errors[:, downstream.ordinal]
     x_ref = pre_block_states(denoiser, ref, init, downstream)

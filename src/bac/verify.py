@@ -14,8 +14,8 @@ import numpy as np
 from .blocks import BlockId, canonical_blocks
 from .bua import SchedulePlan, bubble_union, downstream_ffns
 from .config import DenoiserConfig
-from .denoiser import FfnWeights, build_denoiser, denoise_full, synth_episode
-from .engine import run_cached
+from .denoiser import FfnWeights, build_denoiser, denoise_full, execute, synth_episode
+from .engine import block_errors, run_cached, uniform_plan
 from .errorlab import linear_response, ln_eps_free, ln_operators, random_ffn, verify_first_order
 from .rng import derive_seed
 from .scheduler import (
@@ -180,6 +180,10 @@ def check_bubble_union_properties() -> Check:
 
 
 def check_bit_exact_full_plan() -> Check:
+    """``run_cached``, which resumes from its reference, against ``execute``
+    of the same mask run from step 0 with no trace to resume from, bit for
+    bit: the full plan, whose run from step 0 is the reference itself, and a
+    uniform plan that reuses, in its action and in every block's errors."""
     seeds = (3, 11)
     config = DenoiserConfig(layers=3, d_model=32, heads=4, K=40)
     denoiser = build_denoiser(config)
@@ -188,6 +192,7 @@ def check_bit_exact_full_plan() -> Check:
         layers=config.layers,
         schedules={b: full for b in canonical_blocks(config.layers)},
     )
+    uniform = uniform_plan(config.K, 10, config.layers)
     for seed in seeds:
         init, obs = synth_episode(config, derive_seed(seed, 0))
         want, trace = denoise_full(denoiser, init, obs)
@@ -196,6 +201,11 @@ def check_bit_exact_full_plan() -> Check:
             return ("bit-exact-full-plan", False, f"seed {seed} diverged")
         if report.final_action_l2 != 0.0:
             return ("bit-exact-full-plan", False, f"seed {seed} nonzero deviation")
+        got, report = run_cached(denoiser, uniform, init, obs, reference=trace)
+        want, run = execute(denoiser, report.update_mask, init, obs)
+        if not (np.array_equal(got, want)
+                and np.array_equal(report.errors, block_errors(run, trace))):
+            return ("bit-exact-full-plan", False, f"seed {seed} diverged")
     return ("bit-exact-full-plan", True, f"seeds_checked={len(seeds)}")
 
 

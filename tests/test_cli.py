@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -528,3 +529,30 @@ def test_module_entry_point_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+# SHA-256 of the files the README pipeline writes on the default config
+_README_RUN_DIGESTS = {
+    "run.report": "0f42016dfbf142e7e38cc0fb0ccaa954cbf2102b23eaafb917791928899916bf",
+    "surface.csv": "bc6f180bb076387e45dc25488bcc343b2c3b37512e4a3f7914cc9a8d5f5901da",
+    "surface.csv.mask": "a574d6208661d83f24fcac0f79daa08267f33a589f45400b6d2898ed08739f8e",
+}
+
+
+def test_readme_pipeline_writes_pinned_bytes(tmp_path):
+    """The README's pipeline, step by step; a change to the forward loop or the
+    error pass that moves any bit of the run changes a digest."""
+    w = tmp_path
+    (w / "toy.cfg").write_text("")  # every key at its default
+    for argv in (
+        "profile --config {w}/toy.cfg --episodes 3 --seed 42 --out {w}/task.bacprof",
+        "schedule --profile {w}/task.bacprof --budget 10 --out {w}/task.bacsched",
+        "bubble --profile {w}/task.bacprof --sched {w}/task.bacsched --topk 5 "
+        "--out {w}/task_repaired.bacsched --diff {w}/added.txt",
+        "run --config {w}/toy.cfg --sched {w}/task_repaired.bacsched --seed 9 "
+        "--report {w}/run.report --baseline uniform:10 --surface {w}/surface.csv",
+    ):
+        assert run_cli(*argv.format(w=w).split()) == 0
+    got = {name: hashlib.sha256((w / name).read_bytes()).hexdigest()
+           for name in _README_RUN_DIGESTS}
+    assert got == _README_RUN_DIGESTS

@@ -544,3 +544,71 @@ def test_execute_rejects_unbatched_bad_shapes(small_denoiser, small_episode):
     init, obs = small_episode
     _assert_rejected_before_any_block(small_denoiser, init[:, :-1], obs)
     _assert_rejected_before_any_block(small_denoiser, init, obs[:-1])
+
+
+# -- resuming from a trace, and the all-reuse fold -------------------------------
+
+
+@given(
+    st.integers(1, 12),  # the first step at which some block reuses; 12: none does
+    st.integers(1, 12),  # a cached trace to resume from agrees with the mask before this step
+    st.integers(1, 3),  # E
+    st.booleans(),  # resume from the full pass, else from that cached run
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_resumed_execute_equals_the_oracle(small_denoiser, first_reuse, agree, E, from_full,
+                                           seed):
+    cfg = small_denoiser.config
+    rng = np.random.default_rng(seed)
+    update = rng.random((3 * cfg.layers, cfg.K)) < 0.3
+    update[:, :first_reuse] = True
+    if first_reuse < cfg.K:
+        update[rng.integers(len(update)), first_reuse] = False
+    inits, obss = _episodes(cfg, seed, E)
+    if from_full:
+        _, resume = denoise_full(small_denoiser, inits, obss)
+    else:
+        other = update.copy()
+        other[:, agree:] = rng.random((len(update), cfg.K - agree)) < 0.3
+        _, resume = execute(small_denoiser, other, inits, obss)
+    mac, plain_mac = MacCounter(), MacCounter()
+    action, trace = execute(small_denoiser, update, inits, obss, mac=mac, resume=resume)
+    _, plain = execute(small_denoiser, update, inits, obss, mac=plain_mac)
+    want_action, want_residuals, want_actions, _ = _execute_loop(
+        small_denoiser, update, inits, obss)
+    assert np.array_equal(action, want_action)
+    assert np.array_equal(_dense(trace), want_residuals)
+    assert np.array_equal(trace.actions, want_actions)
+    assert np.array_equal(trace.computed, plain.computed)
+    assert np.array_equal(trace.slot, plain.slot)
+    assert mac.count == plain_mac.count
+
+
+def _resume_cases(small_denoiser, small_config):
+    """(init, obs, resume trace) triples whose trace does not fit the run."""
+    inits, obss = _episodes(small_config, 3, 3)
+    _, full = denoise_full(small_denoiser, inits, obss)
+    shorter = build_denoiser(dataclasses.replace(small_config, K=small_config.K - 1))
+    _, short = denoise_full(shorter, inits, obss)
+    return {
+        "fewer-episodes": (inits[:2], obss[:2], full),
+        "unbatched": (inits[0], obss[0], full),
+        "shorter-horizon": (inits, obss, short),
+    }
+
+
+@pytest.mark.parametrize("case", ["fewer-episodes", "unbatched", "shorter-horizon"])
+def test_execute_rejects_a_resume_trace_that_does_not_fit(small_denoiser, small_config,
+                                                          monkeypatch, case):
+    init, obs, resume = _resume_cases(small_denoiser, small_config)[case]
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("computed a block before checking the resume trace")
+
+    monkeypatch.setattr("bac.denoiser.block_residual", never)
+    mac = MacCounter()
+    update = np.ones((3 * small_config.layers, small_config.K), dtype=bool)
+    with pytest.raises(DimensionError, match="resume trace does not fit this run"):
+        execute(small_denoiser, update, init, obs, mac=mac, resume=resume)
+    assert mac.count == 0

@@ -10,14 +10,20 @@ from bac import denoiser as denoiser_module
 from bac.blocks import BlockId, canonical_blocks
 from bac.bua import SchedulePlan
 from bac.config import DenoiserConfig
-from bac.denoiser import MacCounter, build_denoiser, denoise_full, execute, synth_episode
+from bac.denoiser import (
+    MacCounter,
+    block_cost,
+    build_denoiser,
+    denoise_full,
+    execute,
+    overhead_per_step,
+    synth_episode,
+)
 from bac.engine import (
     MEMORY_CAP_BYTES,
-    block_cost,
     check_memory,
     flops_estimate,
     memory_estimate,
-    overhead_per_step,
     run_cached,
     uniform_plan,
 )
@@ -392,9 +398,12 @@ def test_memory_estimate_counts_built_weights_and_traces(small_denoiser, small_c
     plan = _plan(small_config, lambda b: (0, 3, 4) if b.kind == "CA" else (0,))
     update = run_cached(small_denoiser, plan, init, obs, reference=full)[1].update_mask
     _, cached = execute(small_denoiser, update, init, obs)
-    assert memory_estimate(small_config, plans=(plan,)) - weights == _trace_bytes(cached) + scores
+    # one cached run at a time holds the fold buffer: the embedding and 3L residuals
+    fold = (len(update) + 1) * cached.computed[0].nbytes
+    assert memory_estimate(small_config, plans=(plan,)) - weights == (
+        _trace_bytes(cached) + scores + fold)
     assert memory_estimate(small_config, 2, (plan, plan)) == (
-        weights + 2 * _trace_bytes(full) + 2 * _trace_bytes(cached) + 2 * scores)
+        weights + 2 * _trace_bytes(full) + 2 * _trace_bytes(cached) + 2 * scores + fold)
 
 
 @pytest.mark.parametrize("tokens", [(5, 2), (2, 5)], ids=["sa-largest", "ca-largest"])
@@ -482,3 +491,27 @@ def test_similarity_matrices_peak_within_their_term(episodes):
 def test_default_config_is_far_below_the_cap(default_config):
     assert memory_estimate(default_config, full_traces=10) < MEMORY_CAP_BYTES / 10
     check_memory(default_config, full_traces=10)
+
+
+@pytest.mark.parametrize("steps,served", [((0, 1, 5), 2), ((0, 3, 6, 9), 1),
+                                          (tuple(range(12)), 12)])
+def test_run_cached_computes_no_step_its_reference_holds(small_denoiser, small_config,
+                                                         small_episode, monkeypatch,
+                                                         steps, served):
+    """The steps before the plan's first reuse come from the reference, and so
+    do all steps of the full plan; the MACs still charge them."""
+    init, obs = small_episode
+    _, ref = denoise_full(small_denoiser, init, obs)
+    calls = []
+    real = denoiser_module.block_residual
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("bac.denoiser.block_residual", counted)
+    plan = _plan(small_config, lambda b: steps)
+    mac = MacCounter()
+    _, report = run_cached(small_denoiser, plan, init, obs, reference=ref, mac=mac)
+    assert len(calls) == 3 * small_config.layers * (len(steps) - served)
+    assert mac.count == report.flops.flops_cached
