@@ -55,16 +55,10 @@ copied from the trace, and the loop starts at that step.
 ``engine.run_cached`` passes its full reference, so a cached run computes
 nothing before its first reuse, step 0 at least.  The MAC count still charges
 the copied steps as if they had run, the way it charges ``cross_kv`` per CA
-call; ``block_cost`` and ``overhead_per_step`` give those charges.
-
-A step at which no block updates (90 of the 100 steps of a default
-``uniform:10`` run) sums the embedding and every served residual in one
-``np.add.reduce`` over the outer axis of a (3L + 1, *lead, T, d_model)
-buffer, which holds the embedding and each block's last served residual.
-A reduce over the outer axis adds left to right, as the per-block adds do,
-so no bit moves.  Steps where some block updates keep the per-block adds, and
-a run with no all-reuse step (a full pass) keeps its served residuals in a
-plain list and allocates no buffer.
+call; ``block_cost`` and ``overhead_per_step`` give those charges.  The copy
+saves time only where a run of the same inputs already exists, as in the
+lab; a deployed cached policy has no such trace and computes every step.
+``check_trace`` is the one rule for whether a trace fits a run.
 """
 
 from __future__ import annotations
@@ -78,7 +72,7 @@ import numpy as np
 
 from .blocks import BlockId, canonical_blocks
 from .config import DenoiserConfig
-from .errors import DimensionError, PlanError
+from .errors import ConsistencyError, DimensionError, PlanError
 from .rng import SplitMix64
 
 LN_EPS = 1e-5
@@ -469,23 +463,27 @@ def overhead_per_step(config: DenoiserConfig) -> int:
     return t * a * d + tc * a * d + t * d * a
 
 
-def _resume_step(trace: FeatureTrace, update: np.ndarray, lead: tuple[int, ...],
-                 config: DenoiserConfig) -> int:
-    """The first step at which ``update`` differs from the mask behind ``trace``
-    (K if none), or ``DimensionError`` if the trace does not fit the run."""
-    T, K = config.action_tokens, config.K
-    updates = int(trace.slot.flat[-1]) + 1  # the last slot is the last update
+def check_trace(trace: FeatureTrace, lead: tuple[int, ...], config: DenoiserConfig,
+                name: str, full: bool = False) -> None:
+    """``ConsistencyError`` naming ``name`` unless ``trace`` is the trace of a
+    run of ``config`` over the leading axes ``lead``, and a full pass if ``full``."""
+    n, T, K = 3 * config.layers, config.action_tokens, config.K
+    updates = n * K if full else int(trace.slot.flat[-1]) + 1  # the last slot's update
     got = (trace.computed.shape, trace.slot.shape, trace.actions.shape)
-    want = ((*lead, updates, T, config.d_model), update.shape, (*lead, K, T, config.action_dim))
+    want = ((*lead, updates, T, config.d_model), (n, K), (*lead, K, T, config.action_dim))
     if got != want:
-        raise DimensionError(
-            f"resume trace does not fit this run: computed, slot and actions shapes {got}, "
-            f"want {want}")
+        raise ConsistencyError(
+            f"{name} is not a {'full ' if full else ''}trace of this run: computed, slot "
+            f"and actions shapes {got}, want {want}")
+
+
+def _resume_step(trace: FeatureTrace, update: np.ndarray) -> int:
+    """The first step at which ``update`` differs from the mask behind ``trace``, or K."""
     # a block updated at step t where its slot moves on; step 0 always updates
     before = np.ones_like(update)
     before[:, 1:] = trace.slot[:, 1:] != trace.slot[:, :-1]
     differs = np.flatnonzero((before != update).any(axis=0))
-    return int(differs[0]) if differs.size else K
+    return int(differs[0]) if differs.size else update.shape[1]
 
 
 def execute(
@@ -511,8 +509,8 @@ def execute(
     before the first one at which ``update`` differs from that run's mask
     (read from its slots) is served from it: those steps' computed residuals
     and actions are copied, and the loop starts at that step.  The MACs
-    still charge the served steps as if they had run.  A trace whose shapes
-    do not fit the run raises ``DimensionError`` before any block runs.
+    still charge the served steps as if they had run.  A trace that does not
+    fit the run fails ``check_trace`` before any block runs.
 
     ``init_noise`` (E, T, a) and ``obs`` (E, obs_dim) run E episodes as one
     batch under the shared mask; every result gains a leading episode axis.
@@ -537,7 +535,10 @@ def execute(
     cold = np.flatnonzero(~update[:, 0])
     if cold.size:
         raise PlanError(f"{blocks[cold[0]].name}: cold cache, step 0 must be an update")
-    start = 0 if resume is None else _resume_step(resume, update, lead, cfg)
+    start = 0
+    if resume is not None:
+        check_trace(resume, lead, cfg, "resume")
+        start = _resume_step(resume, update)
 
     # step 0 always updates, so no block's slots point into the block before it
     slot = np.cumsum(update.ravel()).reshape(update.shape) - 1
@@ -546,14 +547,7 @@ def execute(
     by_slot = np.moveaxis(computed, -3, 0)  # (updates, *lead, T, d)
     steps = update.T.tolist()  # steps[t][i]: plain bools, no numpy indexing per block
     slots = slot.T.tolist()
-    busy = update.any(axis=0).tolist()  # busy[t]: some block updates at step t
-    # fold: the embedding, then each block's last served residual; a step where
-    # no block updates reduces it over its outer axis, left to right as the
-    # per-block adds run.  A run without such a step needs no buffer.
-    fold = None if all(busy[start:]) else np.empty(
-        (len(blocks) + 1, *lead, cfg.action_tokens, cfg.d_model))
-    served = [None] * len(blocks) if fold is None else fold[1:]
-
+    served: list[np.ndarray | None] = [None] * len(blocks)  # each block's last served residual
     if start:
         done = update[:, :start]
         computed[..., slot[:, :start][done], :, :] = \
@@ -566,15 +560,11 @@ def execute(
     cross = cross_kv(denoiser, encode_obs(denoiser, obs, mac))
     for t in range(start, cfg.K):
         h = embed_action(denoiser, action, t, mac)  # a fresh array, so += is safe
-        if busy[t]:
-            row, at = steps[t], slots[t]
-            for i, block in enumerate(blocks):
-                if row[i]:
-                    served[i] = by_slot[at[i]] = block_residual(denoiser, block, h, cross, mac)
-                h += served[i]
-        else:
-            fold[0] = h
-            np.add.reduce(fold, axis=0, out=h)
+        row, at = steps[t], slots[t]
+        for i, block in enumerate(blocks):
+            if row[i]:
+                served[i] = by_slot[at[i]] = block_residual(denoiser, block, h, cross, mac)
+            h += served[i]
         action = project_action(denoiser, h, mac)
         actions[..., t, :, :] = action
 

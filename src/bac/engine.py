@@ -15,9 +15,12 @@ Like ``execute``, ``run_cached`` takes an optional leading episode axis: E
 episodes run as one batch under the plan's one mask, and each row equals its
 own run bit for bit.  It passes the reference to ``execute`` as the trace to
 resume from: the steps before the plan's first reuse, step 0 at least, are
-copied from the reference rather than computed, and a step at which no block
-updates is one reduce (see ``denoiser``).  The MAC counter still charges the
-copied steps, so a run's count equals ``flops_estimate``'s ``flops_cached``.
+copied from the reference rather than computed.  The MAC counter still
+charges the copied steps, so a run's count equals ``flops_estimate``'s
+``flops_cached``, but the run's wall time no longer includes them.  A
+deployed cached policy has no reference and computes those steps, so the
+wall time of ``run_cached`` is a lab figure: against a full pass it
+overstates what a deployment saves by the copied prefix.
 
 Cost model (multiply-accumulates, elementwise ops free):
 
@@ -56,6 +59,7 @@ from .denoiser import (
     MacCounter,
     ToyDenoiser,
     block_cost,
+    check_trace,
     execute,
     overhead_per_step,
 )
@@ -172,9 +176,6 @@ def memory_estimate(
     number of full traces, which run as one batch (the profile's episodes do;
     for the two passes of ``export beta``, which run one after the other, this
     is an upper bound), or one episode when only cached runs are counted.
-    A cached run also holds ``execute``'s fold buffer, the embedding and the
-    3L served residuals of one step: (3L + 1) T x d_model floats per row,
-    counted once, since the cached runs run one episode, one after another.
     ``matrices`` adds what ``profiler.similarity_matrices`` holds: 3L K x K
     matrices, plus three (E, K, K) products inside one ``similarity_matrix``
     call.  Other temporaries of the forward loop and of the statistics are not
@@ -187,14 +188,13 @@ def memory_estimate(
     rows = full_traces or (1 if plans else 0)
     scores = 2 * rows * config.heads * t * max(t, config.cond_tokens)
     hidden = 3 * rows * t * d_ff
-    fold = (n + 1) * t * d if plans else 0
     sims = (n + 3 * full_traces) * K * K if matrices else 0
 
     def trace(updates: int) -> int:
         return updates * t * d + K * t * a + n * K
 
     updates = [sum(len(p.schedule(b)) for b in canonical_blocks(p.layers)) for p in plans]
-    return 8 * (weights + scores + hidden + fold + sims + full_traces * trace(n * K)
+    return 8 * (weights + scores + hidden + sims + full_traces * trace(n * K)
                 + sum(trace(u) for u in updates))
 
 
@@ -247,6 +247,9 @@ def run_cached(
     trace of ``denoise_full`` on the same inputs (sweeps share one across
     plans); the MAC counter sees the cached run alone.  The run resumes from
     ``reference``: the steps before the plan's first reuse are copied from it.
+    Only the reference's shapes are checked (``denoiser.check_trace``), so a
+    reference of other inputs hands the run its prefix: a full plan then
+    returns the reference's final action with ``final_action_l2`` 0.
 
     ``init_noise`` (E, T, a), ``obs`` (E, obs_dim) and a reference of the same
     E episodes run as one batch, as in ``execute``: the action, ``errors`` and
@@ -255,13 +258,8 @@ def run_cached(
     """
     cfg = denoiser.config
     flops = flops_estimate(cfg, plan)
-    n, t, lead = 3 * cfg.layers, cfg.action_tokens, np.shape(init_noise)[:-2]
-    got = (reference.computed.shape, reference.slot.shape, reference.actions.shape)
-    want = ((*lead, n * cfg.K, t, cfg.d_model), (n, cfg.K), (*lead, cfg.K, t, cfg.action_dim))
-    if got != want:
-        raise ConsistencyError(
-            f"reference is not a full trace of this run: computed, slot and actions "
-            f"shapes {got}, want {want}")
+    n, lead = 3 * cfg.layers, np.shape(init_noise)[:-2]
+    check_trace(reference, lead, cfg, "reference", full=True)
     update = np.zeros((n, cfg.K), dtype=bool)
     for block in canonical_blocks(cfg.layers):
         update[block.ordinal, list(plan.schedule(block).steps)] = True

@@ -13,7 +13,14 @@ import pytest
 from bac.blocks import BlockId, canonical_blocks
 from bac.bua import SchedulePlan, bubble_union, select_upstream_blocks
 from bac.config import DenoiserConfig
-from bac.denoiser import FfnWeights, MacCounter, build_denoiser, denoise_full, synth_episode
+from bac.denoiser import (
+    FfnWeights,
+    MacCounter,
+    build_denoiser,
+    denoise_full,
+    execute,
+    synth_episode,
+)
 from bac.engine import flops_estimate, run_cached, uniform_plan
 from bac.errorlab import (
     error_surge_experiment,
@@ -140,11 +147,17 @@ def test_criterion_04_bit_exact_degenerate_caching(default_denoiser, default_con
             layers=cfg.layers,
             schedules={b: full for b in canonical_blocks(cfg.layers)},
         )
+        # run_cached serves the full plan from its reference, so a plan that
+        # reuses is checked against execute from step 0 with no trace to resume
+        reusing = uniform_plan(cfg.K, 10, cfg.layers)
         for seed in range(10):
             init, obs = synth_episode(cfg, derive_seed(seed, 0))
             want, trace = denoise_full(default_denoiser, init, obs)
             got, _ = run_cached(default_denoiser, plan, init, obs, reference=trace)
             assert np.array_equal(got, want), f"seed {seed} not bit-identical"
+            got, report = run_cached(default_denoiser, reusing, init, obs, reference=trace)
+            want, _ = execute(default_denoiser, report.update_mask, init, obs)
+            assert np.array_equal(got, want), f"seed {seed} reusing plan not bit-identical"
 
 
 def test_criterion_05_first_order_remainder():

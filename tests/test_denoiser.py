@@ -35,7 +35,7 @@ from bac.denoiser import (
 )
 from bac.bua import SchedulePlan
 from bac.engine import flops_estimate, run_cached, uniform_plan
-from bac.errors import ConfigError, DimensionError
+from bac.errors import ConfigError, ConsistencyError, DimensionError
 from bac.profiler import profile_task
 from bac.rng import derive_seed
 from bac.scheduler import Schedule, solve_schedule
@@ -546,7 +546,7 @@ def test_execute_rejects_unbatched_bad_shapes(small_denoiser, small_episode):
     _assert_rejected_before_any_block(small_denoiser, init, obs[:-1])
 
 
-# -- resuming from a trace, and the all-reuse fold -------------------------------
+# -- resuming from a trace ------------------------------------------------------
 
 
 @given(
@@ -609,6 +609,6 @@ def test_execute_rejects_a_resume_trace_that_does_not_fit(small_denoiser, small_
     monkeypatch.setattr("bac.denoiser.block_residual", never)
     mac = MacCounter()
     update = np.ones((3 * small_config.layers, small_config.K), dtype=bool)
-    with pytest.raises(DimensionError, match="resume trace does not fit this run"):
+    with pytest.raises(ConsistencyError, match="resume is not a trace of this run"):
         execute(small_denoiser, update, init, obs, mac=mac, resume=resume)
     assert mac.count == 0

@@ -21,6 +21,7 @@ from bac.denoiser import (
 )
 from bac.engine import (
     MEMORY_CAP_BYTES,
+    block_errors,
     check_memory,
     flops_estimate,
     memory_estimate,
@@ -77,6 +78,9 @@ def test_uniform_plan_exact_step_count():
 
 
 def test_full_plan_bit_exact(small_denoiser, small_config, small_episode):
+    """The full plan, served whole from its reference, and a plan that reuses
+    from step 1 on, against ``execute`` of the same mask from step 0 with no
+    trace to resume from."""
     init, obs = small_episode
     want, trace = denoise_full(small_denoiser, init, obs)
     got, report = run_cached(small_denoiser, full_plan(small_config), init, obs,
@@ -85,6 +89,11 @@ def test_full_plan_bit_exact(small_denoiser, small_config, small_episode):
     assert report.final_action_l2 == 0.0
     assert np.all(report.errors == 0.0)
     assert report.flops.speedup == 1.0
+    got, report = run_cached(small_denoiser, _plan(small_config, lambda b: (0, 4, 9)), init,
+                             obs, reference=trace)
+    want, run = execute(small_denoiser, report.update_mask, init, obs)
+    assert np.array_equal(got, want)
+    assert np.array_equal(report.errors, block_errors(run, trace))
 
 
 # -- reuse semantics -------------------------------------------------------------
@@ -398,12 +407,9 @@ def test_memory_estimate_counts_built_weights_and_traces(small_denoiser, small_c
     plan = _plan(small_config, lambda b: (0, 3, 4) if b.kind == "CA" else (0,))
     update = run_cached(small_denoiser, plan, init, obs, reference=full)[1].update_mask
     _, cached = execute(small_denoiser, update, init, obs)
-    # one cached run at a time holds the fold buffer: the embedding and 3L residuals
-    fold = (len(update) + 1) * cached.computed[0].nbytes
-    assert memory_estimate(small_config, plans=(plan,)) - weights == (
-        _trace_bytes(cached) + scores + fold)
+    assert memory_estimate(small_config, plans=(plan,)) - weights == _trace_bytes(cached) + scores
     assert memory_estimate(small_config, 2, (plan, plan)) == (
-        weights + 2 * _trace_bytes(full) + 2 * _trace_bytes(cached) + 2 * scores + fold)
+        weights + 2 * _trace_bytes(full) + 2 * _trace_bytes(cached) + 2 * scores)
 
 
 @pytest.mark.parametrize("tokens", [(5, 2), (2, 5)], ids=["sa-largest", "ca-largest"])
