@@ -58,7 +58,8 @@ the copied steps as if they had run, the way it charges ``cross_kv`` per CA
 call; ``block_cost`` and ``overhead_per_step`` give those charges.  The copy
 saves time only where a run of the same inputs already exists, as in the
 lab; a deployed cached policy has no such trace and computes every step.
-``check_trace`` is the one rule for whether a trace fits a run.
+``check_trace`` is the one rule for whether a trace fits a run: its shapes,
+and the digest of the inputs it ran on, which every trace records.
 """
 
 from __future__ import annotations
@@ -212,6 +213,8 @@ class FeatureTrace:
     update at or before t.  ``served(i)`` is block i's residual at every
     step.  ``actions[t]`` is the denoiser output after step t.  A batched
     ``execute`` puts a leading episode axis on ``computed`` and ``actions``.
+    ``inputs`` names the run's inputs, so ``check_trace`` can refuse a trace
+    of other inputs; ``execute`` returns its arrays read-only.
 
     In a full pass every block updates at every step, so ``slot`` is the
     identity and ``residuals`` is the dense (3L, K, T, d_model) array, a free
@@ -222,6 +225,7 @@ class FeatureTrace:
     computed: np.ndarray  # (updates, T, d_model)
     slot: np.ndarray      # (3L, K) index into computed
     actions: np.ndarray   # (K, T, action_dim)
+    inputs: bytes         # input_digest of the run's init_noise and obs
 
     def served(self, i: int) -> np.ndarray:
         """Block i's served residual at every step, (K, T, d_model) after any
@@ -463,10 +467,18 @@ def overhead_per_step(config: DenoiserConfig) -> int:
     return t * a * d + tc * a * d + t * d * a
 
 
+def input_digest(init_noise: np.ndarray, obs: np.ndarray) -> bytes:
+    """SHA-256 of the float64 bytes of a run's ``init_noise`` and ``obs``."""
+    digest = hashlib.sha256(np.asarray(init_noise, dtype=np.float64).tobytes())
+    digest.update(np.asarray(obs, dtype=np.float64).tobytes())
+    return digest.digest()
+
+
 def check_trace(trace: FeatureTrace, lead: tuple[int, ...], config: DenoiserConfig,
-                name: str, full: bool = False) -> None:
+                name: str, inputs: bytes, full: bool = False) -> None:
     """``ConsistencyError`` naming ``name`` unless ``trace`` is the trace of a
-    run of ``config`` over the leading axes ``lead``, and a full pass if ``full``."""
+    run of ``config`` over the leading axes ``lead`` on the inputs whose
+    ``input_digest`` is ``inputs``, and a full pass if ``full``."""
     n, T, K = 3 * config.layers, config.action_tokens, config.K
     updates = n * K if full else int(trace.slot.flat[-1]) + 1  # the last slot's update
     got = (trace.computed.shape, trace.slot.shape, trace.actions.shape)
@@ -475,6 +487,10 @@ def check_trace(trace: FeatureTrace, lead: tuple[int, ...], config: DenoiserConf
         raise ConsistencyError(
             f"{name} is not a {'full ' if full else ''}trace of this run: computed, slot "
             f"and actions shapes {got}, want {want}")
+    if trace.inputs != inputs:
+        raise ConsistencyError(
+            f"{name} is not a {'full ' if full else ''}trace of this run: it ran on other "
+            f"init_noise and obs")
 
 
 def _resume_step(trace: FeatureTrace, update: np.ndarray) -> int:
@@ -510,7 +526,8 @@ def execute(
     (read from its slots) is served from it: those steps' computed residuals
     and actions are copied, and the loop starts at that step.  The MACs
     still charge the served steps as if they had run.  A trace that does not
-    fit the run fails ``check_trace`` before any block runs.
+    fit the run, by its shapes or by its inputs' digest, fails ``check_trace``
+    before any block runs.  The returned trace's arrays are read-only.
 
     ``init_noise`` (E, T, a) and ``obs`` (E, obs_dim) run E episodes as one
     batch under the shared mask; every result gains a leading episode axis.
@@ -535,9 +552,10 @@ def execute(
     cold = np.flatnonzero(~update[:, 0])
     if cold.size:
         raise PlanError(f"{blocks[cold[0]].name}: cold cache, step 0 must be an update")
+    inputs = input_digest(action, obs)
     start = 0
     if resume is not None:
-        check_trace(resume, lead, cfg, "resume")
+        check_trace(resume, lead, cfg, "resume", inputs)
         start = _resume_step(resume, update)
 
     # step 0 always updates, so no block's slots point into the block before it
@@ -577,7 +595,9 @@ def execute(
             for b, n in zip(blocks, np.count_nonzero(update[:, :start], axis=1).tolist()))
         mac.add(math.prod(lead) * (cfg.action_tokens * cfg.d_model * reuses
                                    + (cfg.K - 1) * enc + prefix))
-    return action, FeatureTrace(computed, slot, actions)
+    for arr in (computed, slot, actions):  # a report may read them long after the run
+        arr.flags.writeable = False
+    return action, FeatureTrace(computed, slot, actions, inputs)
 
 
 def pre_block_states(

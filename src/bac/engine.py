@@ -7,20 +7,26 @@ other step the previously served residual is added unchanged, so the feature
 served at step t always comes from max{i in C | i <= t}.  The run's trace
 holds each computed residual once (about 4 KB per update at the default
 config, against 9.8 MB for a full pass), with the slot each (block, step)
-served.  Errors are measured after the run by ``block_errors``, the one error
-pass (the error-surge lab uses it too), against the caller's full-precision
-reference run with identical inputs: block by block, each block's served
-residuals are gathered once, and the L2 distance of every step is one einsum.
+served.  Errors are measured by ``block_errors``, the one error pass (the
+error-surge lab uses it too), against the caller's full-precision reference
+run with identical inputs: block by block, each block's served residuals are
+gathered once, and the L2 distance of every step is one einsum.
 Like ``execute``, ``run_cached`` takes an optional leading episode axis: E
 episodes run as one batch under the plan's one mask, and each row equals its
 own run bit for bit.  It passes the reference to ``execute`` as the trace to
 resume from: the steps before the plan's first reuse, step 0 at least, are
 copied from the reference rather than computed.  The MAC counter still
 charges the copied steps, so a run's count equals ``flops_estimate``'s
-``flops_cached``, but the run's wall time no longer includes them.  A
-deployed cached policy has no reference and computes those steps, so the
-wall time of ``run_cached`` is a lab figure: against a full pass it
-overstates what a deployment saves by the copied prefix.
+``flops_cached``.
+
+The wall time of ``run_cached`` covers ``execute`` from the first reuse plus
+the mask and MAC bookkeeping, and no error pass: a cached policy computes no
+errors, so the report runs ``block_errors`` when its ``errors`` is first
+read (in ``bac run``, inside the report writers) and keeps the run trace
+(about 4 KB per update) and the reference alive until it is dropped.  It is
+still a lab figure: a deployed cached policy has no reference and computes
+the copied prefix, so against a full pass it overstates what a deployment
+saves by that prefix.
 
 Cost model (multiply-accumulates, elementwise ops free):
 
@@ -48,7 +54,8 @@ decoder reduction of exactly K/S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +68,7 @@ from .denoiser import (
     block_cost,
     check_trace,
     execute,
+    input_digest,
     overhead_per_step,
 )
 from .errors import ConfigError, ConsistencyError, PlanError
@@ -82,7 +90,14 @@ class FlopsBreakdown:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Per-(block, step) caching errors and the cost accounting of one run.
+    """The cost accounting of one cached run, and its per-(block, step)
+    caching errors, measured when first read.
+
+    ``errors`` is ``block_errors(run, reference)``, computed on first read
+    and then kept: a caller that never reads it never pays for the error
+    pass, and one that does gets the same bits whenever it reads, because
+    ``execute`` returns its trace read-only.  Until the report is dropped it
+    keeps ``run`` and ``reference`` alive.
 
     A batched run puts a leading episode axis on ``errors`` and
     ``final_action_l2`` (then an (E,) array); the plan's fields stay shared.
@@ -90,11 +105,17 @@ class RunReport:
     from ``update_mask``, and refuse a batched report: a file holds one run.
     """
 
-    errors: np.ndarray        # (3L, K) L2 distance to the reference residual
     update_mask: np.ndarray   # (3L, K) bool, True where the block recomputed
     provenance: np.ndarray    # (3L, K) source step of the feature served at t
     final_action_l2: float | np.ndarray  # rms deviation of the final action
     flops: FlopsBreakdown
+    run: FeatureTrace = field(repr=False)        # the cached run's trace
+    reference: FeatureTrace = field(repr=False)  # the full trace it is measured against
+
+    @functools.cached_property
+    def errors(self) -> np.ndarray:
+        """(3L, K) L2 distance to the reference residual, after any episode axis."""
+        return block_errors(self.run, self.reference)
 
     def block_mean_errors(self) -> dict[BlockId, float]:
         """Each block's error averaged over steps, and over episodes if batched."""
@@ -243,13 +264,17 @@ def run_cached(
     reference: FeatureTrace,
     mac: MacCounter | None = None,
 ) -> tuple[np.ndarray, RunReport]:
-    """Execute the plan and report errors against ``reference``, the full
-    trace of ``denoise_full`` on the same inputs (sweeps share one across
-    plans); the MAC counter sees the cached run alone.  The run resumes from
-    ``reference``: the steps before the plan's first reuse are copied from it.
-    Only the reference's shapes are checked (``denoiser.check_trace``), so a
-    reference of other inputs hands the run its prefix: a full plan then
-    returns the reference's final action with ``final_action_l2`` 0.
+    """Execute the plan and report it against ``reference``, the full trace
+    of ``denoise_full`` on the same inputs (sweeps share one across plans);
+    the MAC counter sees the cached run alone.  The run resumes from
+    ``reference``: the steps before the plan's first reuse are copied from
+    it.  A reference whose shapes or inputs differ from the run's fails
+    ``denoiser.check_trace`` with ``ConsistencyError`` before any block runs.
+
+    The report's mask, provenance, deviation and MACs are filled here; its
+    ``errors`` run ``block_errors`` when first read, so this call's wall time
+    covers ``execute`` from the first reuse and the bookkeeping, not the
+    error pass.
 
     ``init_noise`` (E, T, a), ``obs`` (E, obs_dim) and a reference of the same
     E episodes run as one batch, as in ``execute``: the action, ``errors`` and
@@ -259,7 +284,7 @@ def run_cached(
     cfg = denoiser.config
     flops = flops_estimate(cfg, plan)
     n, lead = 3 * cfg.layers, np.shape(init_noise)[:-2]
-    check_trace(reference, lead, cfg, "reference", full=True)
+    check_trace(reference, lead, cfg, "reference", input_digest(init_noise, obs), full=True)
     update = np.zeros((n, cfg.K), dtype=bool)
     for block in canonical_blocks(cfg.layers):
         update[block.ordinal, list(plan.schedule(block).steps)] = True
@@ -270,10 +295,11 @@ def run_cached(
     sq = ((action - reference.actions[..., -1, :, :]) ** 2).reshape(*lead, -1)
     final_dev = np.sqrt(np.mean(sq, axis=-1))
     report = RunReport(
-        errors=block_errors(run, reference),
         update_mask=update,
         provenance=provenance,
         final_action_l2=final_dev if lead else float(final_dev),
         flops=flops,
+        run=run,
+        reference=reference,
     )
     return action, report

@@ -228,8 +228,8 @@ def error_surge_experiment(
     pass and one batched ``execute`` under the frozen mask, which resumes
     from the full pass after step 0, and each beta is one batched
     ``block_residual``.  The errors come from
-    ``engine.block_errors``, the one error pass that ``engine.run_cached``
-    uses too; this function runs ``execute`` itself rather than
+    ``engine.block_errors``, the one error pass that a ``engine.run_cached``
+    report runs too; this function runs ``execute`` itself rather than
     ``run_cached``, because the downstream inputs come from
     ``pre_block_states`` of each run's trace.
     """

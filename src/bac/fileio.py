@@ -187,11 +187,12 @@ def dump_added_steps(added: dict[BlockId, tuple[int, ...]]) -> str:
 
 def _one_run_shape(report: RunReport) -> tuple[int, int]:
     """The (layers, K) of a one-episode report, read from its update mask;
-    ``DimensionError`` for a batched one."""
-    if report.errors.ndim != 2:
+    ``DimensionError`` for a batched one, told by its deviation's episode
+    axis, so a refused report runs no error pass."""
+    lead, (n, K) = np.shape(report.final_action_l2), report.update_mask.shape
+    if lead:
         raise DimensionError(
-            f"a report file holds one run: errors shape {report.errors.shape}, want (3L, K)")
-    n, K = report.update_mask.shape
+            f"a report file holds one run: errors shape {(*lead, n, K)}, want (3L, K)")
     return n // 3, K
 
 

@@ -49,12 +49,13 @@ def default_denoiser(default_config):
 
 def full_trace(residuals, actions):
     """The FeatureTrace of a pass in which every block updated at every step;
-    ``residuals`` is (3L, K, T, d_model), with any leading axes."""
+    ``residuals`` is (3L, K, T, d_model), with any leading axes.  No inputs
+    lie behind it, so its digest is empty and fits no run."""
     from bac.denoiser import FeatureTrace
 
     *lead, n, K, T, d = residuals.shape
     return FeatureTrace(residuals.reshape(*lead, n * K, T, d), np.arange(n * K).reshape(n, K),
-                        actions)
+                        actions, inputs=b"")
 
 
 def make_trace(residual_fn, K, blocks=1, tokens=2, width=3):

@@ -26,6 +26,7 @@ from bac.denoiser import (
     execute,
     gelu,
     gelu_prime,
+    input_digest,
     layer_norm,
     pre_block_states,
     project_action,
@@ -459,6 +460,17 @@ def test_compact_trace_serves_what_the_oracle_served(small_denoiser, update, E, 
     assert np.array_equal(report.errors, np.sqrt(np.einsum("btij,btij->bt", diff, diff)))
 
 
+def test_execute_returns_a_read_only_trace(small_denoiser, small_episode):
+    """A report measures its errors from the trace after the run, so nothing
+    may write to it in between."""
+    init, obs = small_episode
+    _, trace = denoise_full(small_denoiser, init, obs)
+    assert trace.inputs == input_digest(init, obs)
+    for arr in (trace.computed, trace.slot, trace.actions, trace.residuals):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
 # -- a leading episode axis on execute ------------------------------------------
 
 
@@ -595,10 +607,13 @@ def _resume_cases(small_denoiser, small_config):
         "fewer-episodes": (inits[:2], obss[:2], full),
         "unbatched": (inits[0], obss[0], full),
         "shorter-horizon": (inits, obss, short),
+        "other-inputs": (*_episodes(small_config, 4, 3), full),
+        "reordered-episodes": (inits[::-1], obss[::-1], full),
     }
 
 
-@pytest.mark.parametrize("case", ["fewer-episodes", "unbatched", "shorter-horizon"])
+@pytest.mark.parametrize("case", ["fewer-episodes", "unbatched", "shorter-horizon",
+                                  "other-inputs", "reordered-episodes"])
 def test_execute_rejects_a_resume_trace_that_does_not_fit(small_denoiser, small_config,
                                                           monkeypatch, case):
     init, obs, resume = _resume_cases(small_denoiser, small_config)[case]

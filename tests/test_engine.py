@@ -279,6 +279,59 @@ def test_batched_report_block_means_average_episodes_and_steps(small_denoiser, s
         assert mean == report.errors[:, block.ordinal].mean()
 
 
+def test_run_cached_refuses_a_reference_of_other_inputs(small_denoiser, small_config,
+                                                       monkeypatch):
+    """A full reference of another episode, or of the run's episodes in
+    another order, fails by name before any block runs: a full plan would
+    otherwise return that reference's final action with deviation 0."""
+    runs = [synth_episode(small_config, derive_seed(21, e)) for e in range(3)]
+    inits, obss = (np.stack(arrays) for arrays in zip(*runs))
+    (init, obs), (other_init, other_obs) = runs[:2]
+    other = denoise_full(small_denoiser, other_init, other_obs)[1]
+    batch = denoise_full(small_denoiser, inits, obss)[1]
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("computed a block before checking the reference")
+
+    monkeypatch.setattr("bac.denoiser.block_residual", never)
+    mac = MacCounter()
+    for noise, o, bad in ((init, obs, other), (other_init, obs, other),
+                          (inits[::-1], obss[::-1], batch)):
+        for plan in (full_plan(small_config),
+                     uniform_plan(small_config.K, 4, small_config.layers)):
+            with pytest.raises(ConsistencyError, match="reference is not a full trace of "
+                                                       "this run: it ran on other init_noise"):
+                run_cached(small_denoiser, plan, noise, o, reference=bad, mac=mac)
+    assert mac.count == 0
+
+
+@pytest.mark.parametrize("E", [None, 3], ids=["one-episode", "three-episodes"])
+def test_report_measures_its_errors_once_on_first_read(small_denoiser, small_config,
+                                                      monkeypatch, E):
+    """``run_cached`` runs no error pass; the first read of ``errors`` runs
+    ``block_errors`` once and later reads reuse it, and the value equals
+    ``block_errors`` of the same mask run from step 0, bit for bit."""
+    runs = [synth_episode(small_config, derive_seed(13, e)) for e in range(E or 1)]
+    init, obs = (np.stack(arrays) for arrays in zip(*runs)) if E else runs[0]
+    _, reference = denoise_full(small_denoiser, init, obs)
+    calls = []
+
+    def counted(run, reference):
+        calls.append(run)
+        return block_errors(run, reference)
+
+    monkeypatch.setattr("bac.engine.block_errors", counted)
+    _, report = run_cached(small_denoiser, uniform_plan(small_config.K, 4, small_config.layers),
+                           init, obs, reference=reference)
+    assert calls == []
+    first = report.errors
+    assert report.errors is first
+    assert len(calls) == 1
+    _, run = execute(small_denoiser, report.update_mask, init, obs)
+    assert first.shape == (*np.shape(report.final_action_l2), *report.update_mask.shape)
+    assert np.array_equal(first, block_errors(run, reference))
+
+
 # -- cost model --------------------------------------------------------------------
 
 

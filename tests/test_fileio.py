@@ -371,7 +371,9 @@ def reports(draw):
         errors = np.array(draw(st.lists(st.floats(0.0, 1e6), min_size=3 * layers * K,
                                         max_size=3 * layers * K))).reshape(3 * layers, K)
         none = np.zeros((3 * layers, K), dtype=bool)
-        return RunReport(errors, none, none.astype(int), draw(real), flops)
+        report = RunReport(none, none.astype(int), draw(real), flops, run=None, reference=None)
+        object.__setattr__(report, "errors", errors)  # fills the cache: no trace behind it
+        return report
 
     return one(), one() if draw(st.booleans()) else None
 
@@ -440,6 +442,27 @@ def test_writers_refuse_a_batched_report_by_name_before_opening_a_file(
     with pytest.raises(DimensionError, match=shape):
         fileio.write_report(report, str(tmp_path / "run.report"), baseline=batched)
     with pytest.raises(DimensionError, match=shape):
+        fileio.write_surface_csv(batched, str(tmp_path / "surface.csv"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writers_refuse_a_batched_report_without_its_error_pass(
+        tmp_path, monkeypatch, small_denoiser_module):
+    """The refusal reads the report's episode axis, not its errors, so no
+    error pass runs for a report that is not written."""
+    cfg = small_denoiser_module.config
+    runs = [synth_episode(cfg, derive_seed(6, e)) for e in range(2)]
+    inits, obss = (np.stack(arrays) for arrays in zip(*runs))
+    _, batched = run_cached(small_denoiser_module, uniform_plan(cfg.K, 4, cfg.layers), inits,
+                            obss, reference=denoise_full(small_denoiser_module, inits, obss)[1])
+
+    def never(*_args):
+        raise AssertionError("ran the error pass of a refused report")
+
+    monkeypatch.setattr("bac.engine.block_errors", never)
+    with pytest.raises(DimensionError, match=re.escape(f"(2, {3 * cfg.layers}, {cfg.K})")):
+        fileio.write_report(batched, str(tmp_path / "run.report"))
+    with pytest.raises(DimensionError):
         fileio.write_surface_csv(batched, str(tmp_path / "surface.csv"))
     assert list(tmp_path.iterdir()) == []
 
