@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, read_text
 
 _MAX_SEED = (1 << 64) - 1
 
@@ -87,8 +87,7 @@ def parse_config_text(text: str) -> DenoiserConfig:
 
 
 def load_config(path: str) -> DenoiserConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    return parse_config_text(read_text(path))
 
 
 def dump_config(config: DenoiserConfig) -> str:

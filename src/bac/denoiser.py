@@ -32,14 +32,11 @@ denoiser.
 
 The conditioning tokens are encoded once per run, so ``execute`` also
 projects each layer's cross-attention keys and values once (``cross_kv``)
-and a CA block projects only its queries.  The MAC count still charges the
-encoding at every step and the key and value projections at every CA call,
-as ``engine.flops_estimate`` does: the counts describe the per-step design
-of the model, not this loop's shortcut.
+and a CA block projects only its queries.
 
-The kernels take leading batch axes (``*lead, T, d``; MACs are per row), so
-``execute`` runs E episodes as one batch, saving numpy's per-call dispatch on
-these small tensors; each row equals its own run bit for bit.
+The kernels take leading batch axes (``*lead, T, d``), so ``execute`` runs E
+episodes as one batch, saving numpy's per-call dispatch on these small
+tensors; each row equals its own run bit for bit.
 
 ``execute`` is the one forward loop, and it returns only what it served: each
 residual a block computed, stored once, the slot each (block, step) served,
@@ -53,11 +50,9 @@ Every step before the first one at which its update mask differs from that
 run's (read from the trace's slots; a full trace's mask is all true) is
 copied from the trace, and the loop starts at that step.
 ``engine.run_cached`` passes its full reference, so a cached run computes
-nothing before its first reuse, step 0 at least.  The MAC count still charges
-the copied steps as if they had run, the way it charges ``cross_kv`` per CA
-call; ``block_cost`` and ``overhead_per_step`` give those charges.  The copy
-saves time only where a run of the same inputs already exists, as in the
-lab; a deployed cached policy has no such trace and computes every step.
+nothing before its first reuse, step 0 at least.  The copy saves time only
+where a run of the same inputs already exists, as in the lab; a deployed
+cached policy has no such trace and computes every step.
 ``check_trace`` is the one rule for whether a trace fits a run: its shapes,
 and the digest of the inputs it ran on, which every trace records.
 """
@@ -137,22 +132,6 @@ def softmax(x: np.ndarray) -> np.ndarray:
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
-
-
-class MacCounter:
-    """Running multiply-accumulate tally.
-
-    Counts matrix-product MACs plus the documented per-reuse tensor-add charge;
-    elementwise ops (LayerNorm, softmax, GELU, residual adds) are free.
-    """
-
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, n: int) -> None:
-        self.count += int(n)
 
 
 @dataclass(frozen=True)
@@ -338,11 +317,9 @@ def _attend(
     w: AttentionWeights,
     scale: float,
     causal: bool,
-    mac: MacCounter | None,
 ) -> np.ndarray:
     """Multi-head attention of ``x_q``'s queries over keys and values already
-    split into heads.  The MACs include the key and value projections, so a
-    call costs the same whether its keys were projected for it or not."""
+    split into heads."""
     *lead, t_q, d = x_q.shape
     heads, t_kv = kh.shape[-3], kh.shape[-2]
     scores = _split_heads(x_q @ w.wq, heads) @ kh.swapaxes(-1, -2)
@@ -350,10 +327,7 @@ def _attend(
     if causal:
         np.copyto(scores, -np.inf, where=_causal_mask(t_q, t_kv))
     mixed = softmax(scores) @ vh
-    out = mixed.swapaxes(-3, -2).reshape(*lead, t_q, d) @ w.wo
-    if mac is not None:
-        mac.add(math.prod(lead) * (2 * t_q * d * d + 2 * t_kv * d * d + 2 * t_q * t_kv * d))
-    return out
+    return mixed.swapaxes(-3, -2).reshape(*lead, t_q, d) @ w.wo
 
 
 CrossKV = tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -364,8 +338,7 @@ def cross_kv(denoiser: ToyDenoiser, tokens: np.ndarray) -> CrossKV:
     split into heads: one (keys, values) pair per layer.
 
     The tokens stay fixed for a whole run, so ``execute`` projects them once
-    and every CA block call reads them.  They are charged to the calls, not
-    here (see ``_attend``)."""
+    and every CA block call reads them."""
     heads = denoiser.config.heads
     return tuple(
         (_split_heads(tokens @ lw.ca.wk, heads), _split_heads(tokens @ lw.ca.wv, heads))
@@ -389,7 +362,6 @@ def block_residual(
     block: BlockId,
     h: np.ndarray,
     cross: CrossKV,
-    mac: MacCounter | None = None,
 ) -> np.ndarray:
     """Residual output of one block given the running hidden state.
 
@@ -403,68 +375,27 @@ def block_residual(
         x = layer_norm(h, lw.sa.gamma)
         heads = denoiser.config.heads
         kh, vh = _split_heads(x @ lw.sa.wk, heads), _split_heads(x @ lw.sa.wv, heads)
-        return _attend(x, kh, vh, lw.sa, denoiser.attn_scale, causal=True, mac=mac)
+        return _attend(x, kh, vh, lw.sa, denoiser.attn_scale, causal=True)
     if block.kind == "CA":
         x = layer_norm(h, lw.ca.gamma)
         kh, vh = cross[block.layer]
-        return _attend(x, kh, vh, lw.ca, denoiser.attn_scale, causal=False, mac=mac)
+        return _attend(x, kh, vh, lw.ca, denoiser.attn_scale, causal=False)
     x = layer_norm(h, lw.ffn.gamma)
-    out = mlp(lw.ffn, x)
-    if mac is not None:
-        mac.add(8 * x.size * x.shape[-1])
-    return out
+    return mlp(lw.ffn, x)
 
 
-def encode_obs(denoiser: ToyDenoiser, obs: np.ndarray, mac: MacCounter | None = None) -> np.ndarray:
+def encode_obs(denoiser: ToyDenoiser, obs: np.ndarray) -> np.ndarray:
     """Project each raw observation vector into cond_tokens conditioning tokens."""
     cfg = denoiser.config
-    lead = obs.shape[:-1]
-    tokens = obs.reshape(*lead, cfg.cond_tokens, cfg.action_dim) @ denoiser.obs_proj
-    if mac is not None:
-        mac.add(math.prod(lead) * cfg.cond_tokens * cfg.action_dim * cfg.d_model)
-    return tokens
+    return obs.reshape(*obs.shape[:-1], cfg.cond_tokens, cfg.action_dim) @ denoiser.obs_proj
 
 
-def embed_action(
-    denoiser: ToyDenoiser, noisy_action: np.ndarray, t: int, mac: MacCounter | None = None
-) -> np.ndarray:
-    cfg = denoiser.config
-    h = noisy_action @ denoiser.in_proj + denoiser.time_emb[t]
-    if mac is not None:
-        mac.add(noisy_action.size * cfg.d_model)
-    return h
+def embed_action(denoiser: ToyDenoiser, noisy_action: np.ndarray, t: int) -> np.ndarray:
+    return noisy_action @ denoiser.in_proj + denoiser.time_emb[t]
 
 
-def project_action(
-    denoiser: ToyDenoiser, h: np.ndarray, mac: MacCounter | None = None
-) -> np.ndarray:
-    cfg = denoiser.config
-    out = h @ denoiser.out_proj
-    if mac is not None:
-        mac.add(h.size * cfg.action_dim)
-    return out
-
-
-def block_cost(config: DenoiserConfig, kind: str) -> int:
-    """MACs of one call of a block of this kind on one episode, as its kernel charges them."""
-    t, d, tc = config.action_tokens, config.d_model, config.cond_tokens
-    if kind == "SA":
-        return 4 * t * d * d + 2 * t * t * d
-    if kind == "CA":
-        return 2 * t * d * d + 2 * tc * d * d + 2 * t * tc * d
-    return 8 * t * d * d
-
-
-def overhead_per_step(config: DenoiserConfig) -> int:
-    """MACs of one step outside the blocks on one episode: the input projection,
-    the observation encoding and the output projection."""
-    t, d, a, tc = (
-        config.action_tokens,
-        config.d_model,
-        config.action_dim,
-        config.cond_tokens,
-    )
-    return t * a * d + tc * a * d + t * d * a
+def project_action(denoiser: ToyDenoiser, h: np.ndarray) -> np.ndarray:
+    return h @ denoiser.out_proj
 
 
 def input_digest(init_noise: np.ndarray, obs: np.ndarray) -> bytes:
@@ -507,32 +438,28 @@ def execute(
     update: np.ndarray,
     init_noise: np.ndarray,
     obs: np.ndarray,
-    mac: MacCounter | None = None,
     resume: FeatureTrace | None = None,
 ) -> tuple[np.ndarray, FeatureTrace]:
     """Run all K steps under update-then-reuse, feeding each output into the next step.
 
     ``update`` is a (3L, K) bool mask over (block ordinal, step).  Where it is
     true the block recomputes its residual on the current hidden state;
-    elsewhere it serves the residual it served at the previous step and is
-    charged one T x d_model tensor add.  Step 0 must update every block (the
-    cache starts cold).  The returned trace stores each computed residual
-    once, at its block-major slot, and the slot each (block, step) served;
-    ``pre_block_states`` rebuilds from it the hidden state that entered any
-    block.
+    elsewhere it serves the residual it served at the previous step.  Step 0
+    must update every block (the cache starts cold).  The returned trace
+    stores each computed residual once, at its block-major slot, and the slot
+    each (block, step) served; ``pre_block_states`` rebuilds from it the
+    hidden state that entered any block.
 
     ``resume`` is an optional trace of a run on the same inputs.  Every step
     before the first one at which ``update`` differs from that run's mask
     (read from its slots) is served from it: those steps' computed residuals
-    and actions are copied, and the loop starts at that step.  The MACs
-    still charge the served steps as if they had run.  A trace that does not
-    fit the run, by its shapes or by its inputs' digest, fails ``check_trace``
-    before any block runs.  The returned trace's arrays are read-only.
+    and actions are copied, and the loop starts at that step.  A trace that
+    does not fit the run, by its shapes or by its inputs' digest, fails
+    ``check_trace`` before any block runs.  The returned trace's arrays are
+    read-only.
 
     ``init_noise`` (E, T, a) and ``obs`` (E, obs_dim) run E episodes as one
     batch under the shared mask; every result gains a leading episode axis.
-    ``obs`` is encoded once, but the MACs charge its encoding at every step,
-    as ``engine.flops_estimate`` does.
     """
     cfg = denoiser.config
     action = np.asarray(init_noise, dtype=np.float64)
@@ -575,26 +502,17 @@ def execute(
         for i, s in enumerate(slot[:, start - 1].tolist()):
             served[i] = by_slot[s]
 
-    cross = cross_kv(denoiser, encode_obs(denoiser, obs, mac))
+    cross = cross_kv(denoiser, encode_obs(denoiser, obs))
     for t in range(start, cfg.K):
-        h = embed_action(denoiser, action, t, mac)  # a fresh array, so += is safe
+        h = embed_action(denoiser, action, t)  # a fresh array, so += is safe
         row, at = steps[t], slots[t]
         for i, block in enumerate(blocks):
             if row[i]:
-                served[i] = by_slot[at[i]] = block_residual(denoiser, block, h, cross, mac)
+                served[i] = by_slot[at[i]] = block_residual(denoiser, block, h, cross)
             h += served[i]
-        action = project_action(denoiser, h, mac)
+        action = project_action(denoiser, h)
         actions[..., t, :, :] = action
 
-    if mac is not None:  # one T x d_model add per reuse; the encoding, per step;
-        # and the served steps' projections and blocks, as if they had run
-        reuses = int(update.size - np.count_nonzero(update))
-        enc = cfg.cond_tokens * cfg.action_dim * cfg.d_model
-        prefix = start * (overhead_per_step(cfg) - enc) + sum(
-            block_cost(cfg, b.kind) * n
-            for b, n in zip(blocks, np.count_nonzero(update[:, :start], axis=1).tolist()))
-        mac.add(math.prod(lead) * (cfg.action_tokens * cfg.d_model * reuses
-                                   + (cfg.K - 1) * enc + prefix))
     for arr in (computed, slot, actions):  # a report may read them long after the run
         arr.flags.writeable = False
     return action, FeatureTrace(computed, slot, actions, inputs)
@@ -621,12 +539,11 @@ def denoise_full(
     denoiser: ToyDenoiser,
     init_noise: np.ndarray,
     obs: np.ndarray,
-    mac: MacCounter | None = None,
 ) -> tuple[np.ndarray, FeatureTrace]:
     """Full-precision run: ``execute`` with every block updating at every step."""
     cfg = denoiser.config
     update = np.ones((3 * cfg.layers, cfg.K), dtype=bool)
-    return execute(denoiser, update, init_noise, obs, mac)
+    return execute(denoiser, update, init_noise, obs)
 
 
 def synth_episode(config: DenoiserConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,9 +15,7 @@ Like ``execute``, ``run_cached`` takes an optional leading episode axis: E
 episodes run as one batch under the plan's one mask, and each row equals its
 own run bit for bit.  It passes the reference to ``execute`` as the trace to
 resume from: the steps before the plan's first reuse, step 0 at least, are
-copied from the reference rather than computed.  The MAC counter still
-charges the copied steps, so a run's count equals ``flops_estimate``'s
-``flops_cached``.
+copied from the reference rather than computed.
 
 The wall time of ``run_cached`` covers ``execute`` from the first reuse plus
 the mask and MAC bookkeeping, and no error pass: a cached policy computes no
@@ -28,7 +26,10 @@ still a lab figure: a deployed cached policy has no reference and computes
 the copied prefix, so against a full pass it overstates what a deployment
 saves by that prefix.
 
-Cost model (multiply-accumulates, elementwise ops free):
+Cost model (multiply-accumulates, elementwise ops free).  This module owns
+it: ``block_cost`` and ``overhead_per_step`` give the block and per-step
+figures, ``flops_estimate`` sums them over a plan, and no run counts its own
+MACs.
 
     SA   4*T*d^2 + 2*T^2*d        projections + scores + value mixing
     CA   2*T*d^2 + 2*Tc*d^2 + 2*T*Tc*d
@@ -37,14 +38,13 @@ Cost model (multiply-accumulates, elementwise ops free):
     output projection T*d*a
     reuse: charged T*d per reused block (the residual add)
 
-``denoiser.block_cost`` and ``denoiser.overhead_per_step`` give the block and
-per-step figures, which the denoiser's kernels charge too.
-
-The conditioning enters the count at every step: the observation encoding
-in the overhead, and the key and value projections of the tokens (2*Tc*d^2)
-in every CA call.  ``denoiser.execute`` computes both once per run, since
-the tokens do not change across steps, and still charges them per step, so
-the counts stay those of the model's per-step design.
+The counts are those of the model's per-step design, so they depend on the
+plan's (3L, K) update mask alone.  The conditioning enters at every step: the
+observation encoding in the overhead, and the key and value projections of
+the tokens (2*Tc*d^2) in every CA call, although ``denoiser.execute``
+computes both once per run, since the tokens do not change across steps.
+The steps ``run_cached`` copies from its reference are counted as if they
+had run.
 
 flops_full counts every block at every step; flops_cached zeroes skipped
 blocks and adds the reuse charges.  Decoder-only figures exclude both the
@@ -61,16 +61,7 @@ import numpy as np
 
 from .blocks import BlockId, canonical_blocks
 from .config import DenoiserConfig
-from .denoiser import (
-    FeatureTrace,
-    MacCounter,
-    ToyDenoiser,
-    block_cost,
-    check_trace,
-    execute,
-    input_digest,
-    overhead_per_step,
-)
+from .denoiser import FeatureTrace, ToyDenoiser, check_trace, execute, input_digest
 from .errors import ConfigError, ConsistencyError, PlanError
 from .bua import SchedulePlan
 from .scheduler import Schedule, check_budget
@@ -137,6 +128,28 @@ def uniform_plan(K: int, budget_S: int, layers: int) -> SchedulePlan:
         layers=layers,
         schedules={b: sched for b in canonical_blocks(layers)},
     )
+
+
+def block_cost(config: DenoiserConfig, kind: str) -> int:
+    """MACs of one call of a block of this kind on one episode."""
+    t, d, tc = config.action_tokens, config.d_model, config.cond_tokens
+    if kind == "SA":
+        return 4 * t * d * d + 2 * t * t * d
+    if kind == "CA":
+        return 2 * t * d * d + 2 * tc * d * d + 2 * t * tc * d
+    return 8 * t * d * d
+
+
+def overhead_per_step(config: DenoiserConfig) -> int:
+    """MACs of one step outside the blocks on one episode: the input projection,
+    the observation encoding and the output projection."""
+    t, d, a, tc = (
+        config.action_tokens,
+        config.d_model,
+        config.action_dim,
+        config.cond_tokens,
+    )
+    return t * a * d + tc * a * d + t * d * a
 
 
 def flops_estimate(config: DenoiserConfig, plan: SchedulePlan) -> FlopsBreakdown:
@@ -262,11 +275,10 @@ def run_cached(
     init_noise: np.ndarray,
     obs: np.ndarray,
     reference: FeatureTrace,
-    mac: MacCounter | None = None,
 ) -> tuple[np.ndarray, RunReport]:
     """Execute the plan and report it against ``reference``, the full trace
-    of ``denoise_full`` on the same inputs (sweeps share one across plans);
-    the MAC counter sees the cached run alone.  The run resumes from
+    of ``denoise_full`` on the same inputs (sweeps share one across plans).
+    The run resumes from
     ``reference``: the steps before the plan's first reuse are copied from
     it.  A reference whose shapes or inputs differ from the run's fails
     ``denoiser.check_trace`` with ``ConsistencyError`` before any block runs.
@@ -289,7 +301,7 @@ def run_cached(
     for block in canonical_blocks(cfg.layers):
         update[block.ordinal, list(plan.schedule(block).steps)] = True
 
-    action, run = execute(denoiser, update, init_noise, obs, mac=mac, resume=reference)
+    action, run = execute(denoiser, update, init_noise, obs, resume=reference)
 
     provenance = np.maximum.accumulate(np.where(update, np.arange(cfg.K), -1), axis=1)
     sq = ((action - reference.actions[..., -1, :, :]) ** 2).reshape(*lead, -1)

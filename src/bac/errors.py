@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the text-file read
+that reports a byte outside UTF-8 as a ``FormatError``."""
 
 
 class BacError(Exception):
@@ -56,3 +57,15 @@ class FormatError(BacError):
 
 class CorrelationError(BacError):
     """Pearson correlation undefined because one series has zero variance."""
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of the file at ``path``; ``FormatError`` naming the line
+    of the first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"byte 0x{data[exc.start]:02x} is not UTF-8",
+                          data.count(b"\n", 0, exc.start) + 1) from None

@@ -22,7 +22,7 @@ import numpy as np
 from .blocks import BlockId, block_at, canonical_blocks, parse_block_name
 from .bua import SchedulePlan
 from .engine import RunReport
-from .errors import ConsistencyError, DimensionError, FormatError
+from .errors import ConsistencyError, DimensionError, FormatError, read_text
 from .profiler import BlockStats, SimilarityProfile
 from .scheduler import Schedule, ScheduleError
 
@@ -114,8 +114,7 @@ def write_profile(profile: SimilarityProfile, path: str) -> None:
 
 
 def read_profile(path: str) -> SimilarityProfile:
-    with open(path, encoding="utf-8") as fh:
-        return parse_profile(fh.read())
+    return parse_profile(read_text(path))
 
 
 # -- schedule ---------------------------------------------------------------
@@ -170,8 +169,7 @@ def write_plan(plan: SchedulePlan, path: str) -> None:
 
 
 def read_plan(path: str, K: int) -> SchedulePlan:
-    with open(path, encoding="utf-8") as fh:
-        return parse_plan(fh.read(), K=K)
+    return parse_plan(read_text(path), K=K)
 
 
 def dump_added_steps(added: dict[BlockId, tuple[int, ...]]) -> str:

@@ -15,7 +15,6 @@ from bac.bua import SchedulePlan, bubble_union, select_upstream_blocks
 from bac.config import DenoiserConfig
 from bac.denoiser import (
     FfnWeights,
-    MacCounter,
     build_denoiser,
     denoise_full,
     execute,
@@ -39,6 +38,7 @@ from bac.scheduler import (
     objective,
     solve_schedule,
 )
+from conftest import MacTally, execute_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -296,20 +296,25 @@ def test_criterion_09_flops_accounting(default_denoiser, default_config):
         single = Schedule((0,), cfg.K)
         plans.append(SchedulePlan(layers=cfg.layers,
                                   schedules={b: single for b in canonical_blocks(cfg.layers)}))
+        # the instrumented side: the test oracle's MACs, counted from the
+        # shapes of the products it performs at every step
         for seed, plan in enumerate(plans):
             init, obs = synth_episode(cfg, derive_seed(900 + seed, 0))
             _, ref = denoise_full(default_denoiser, init, obs)
-            mac = MacCounter()
-            _, report = run_cached(default_denoiser, plan, init, obs,
-                                   reference=ref, mac=mac)
-            assert mac.count == report.flops.flops_cached, (
-                f"plan {seed}: counter {mac.count} != analytic {report.flops.flops_cached}"
+            action, report = run_cached(default_denoiser, plan, init, obs, reference=ref)
+            tally = MacTally()
+            want = execute_oracle(default_denoiser, report.update_mask, init, obs,
+                                  tally=tally)[0]
+            assert np.array_equal(action, want), f"plan {seed}: oracle action differs"
+            assert tally.count == report.flops.flops_cached, (
+                f"plan {seed}: counter {tally.count} != analytic {report.flops.flops_cached}"
             )
-        mac_full = MacCounter()
+        tally_full = MacTally()
         init, obs = synth_episode(cfg, derive_seed(900, 0))
-        denoise_full(default_denoiser, init, obs, mac=mac_full)
+        execute_oracle(default_denoiser, np.ones((3 * cfg.layers, cfg.K), dtype=bool),
+                       init, obs, tally=tally_full)
         breakdown = flops_estimate(cfg, plans[1])  # uniform S=10
-        assert mac_full.count == breakdown.flops_full
+        assert tally_full.count == breakdown.flops_full
         assert breakdown.decoder_reduction == 10.0
         assert breakdown.speedup >= 3.0, f"speedup {breakdown.speedup:.2f}"
 

@@ -231,6 +231,33 @@ def test_parse_error_names_line(workspace, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+# argv ({bad} is the file, {cfg} the workspace's config, {w} the workspace) and
+# the text of the file, for each command's reader of an input file
+_READER_CASES = {
+    "config": ("profile --config {bad} --out {w}/out", CONFIG_TEXT),
+    "profile": ("schedule --profile {bad} --budget 2 --out {w}/out",
+                "BAC-PROFILE v1\nK=12\nBLOCKS=6\n"),
+    "schedule": ("run --config {cfg} --sched {bad} --report {w}/out",
+                 "".join(f"layers.0.{kind}: 0,6\n" for kind in ("SA", "CA", "FFN"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READER_CASES))
+def test_non_utf8_input_is_a_format_error_naming_its_line(workspace, capsys, case):
+    """A byte outside UTF-8 in an input file exits 2 naming the line of the
+    first such byte; it used to escape as a ``UnicodeDecodeError``, exit 1."""
+    tmp, cfg = workspace
+    argv, text = _READER_CASES[case]
+    lines = text.encode().splitlines(keepends=True)
+    lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+    bad = tmp / "bad"
+    bad.write_bytes(b"".join(lines))
+    code = run_cli(*argv.format(bad=bad, cfg=cfg, w=tmp).split())
+    assert code == 2
+    assert capsys.readouterr().err == "error: line 3: byte 0xff is not UTF-8\n"
+    assert not (tmp / "out").exists()
+
+
 def _edit_profile_line(tmp, cfg, prefix, edit):
     """Profile whose first line starting with ``prefix`` is replaced by
     ``edit(line)``; returns its path and the 1-based number of that line."""

@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import math
 
 import numpy as np
 import pytest
@@ -11,25 +10,17 @@ from hypothesis.extra.numpy import arrays
 from bac.blocks import BlockId, canonical_blocks
 from bac.config import DenoiserConfig
 from bac.denoiser import (
-    GELU_A,
-    GELU_C,
-    MacCounter,
     _attend,
     _causal_mask,
     _split_heads,
-    block_residual,
     build_denoiser,
-    cross_kv,
     denoise_full,
-    embed_action,
-    encode_obs,
     execute,
     gelu,
     gelu_prime,
     input_digest,
     layer_norm,
     pre_block_states,
-    project_action,
     softmax,
     synth_episode,
     weight_checksum,
@@ -40,6 +31,7 @@ from bac.errors import ConfigError, ConsistencyError, DimensionError
 from bac.profiler import profile_task
 from bac.rng import derive_seed
 from bac.scheduler import Schedule, solve_schedule
+from conftest import MacTally, execute_oracle, plain_gelu, plain_softmax, two_pass_layer_norm
 
 
 def test_build_is_deterministic(small_config):
@@ -160,10 +152,6 @@ def test_gelu_prime_matches_central_difference_on_ffn_preactivations(
     np.testing.assert_allclose(gelu_prime(u), fd, rtol=1e-6, atol=1e-9)
 
 
-def _two_pass_layer_norm(h, gamma, eps=1e-5):
-    return (h - h.mean(-1, keepdims=True)) / np.sqrt(h.var(-1, keepdims=True) + eps) * gamma
-
-
 @given(
     arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 70)),
            elements=st.floats(-1e3, 1e3)),
@@ -175,7 +163,7 @@ def test_layer_norm_equals_two_pass_form_bitwise(h, offset, gain):
     h = h + offset
     gamma = gain * np.linspace(0.5, 1.5, h.shape[1])
     before = h.copy()
-    assert np.array_equal(layer_norm(h, gamma), _two_pass_layer_norm(h, gamma))
+    assert np.array_equal(layer_norm(h, gamma), two_pass_layer_norm(h, gamma))
     assert np.array_equal(h, before)
 
 
@@ -202,54 +190,12 @@ def test_causal_attention_with_cached_mask_matches_fresh_mask(default_denoiser, 
     x = rng.standard_normal((tokens, default_denoiser.config.d_model))
     kh, vh = _split_heads(x @ sa.wk, heads), _split_heads(x @ sa.wv, heads)
     for _ in range(2):  # the second call reads the cached mask
-        got = _attend(x, kh, vh, sa, default_denoiser.attn_scale, causal=True, mac=None)
+        got = _attend(x, kh, vh, sa, default_denoiser.attn_scale, causal=True)
         assert np.array_equal(got, _fresh_mask_mha(x, sa, heads))
     assert not _causal_mask(tokens, tokens).flags.writeable
 
 
 # -- the execute loop against its per-block oracle ---------------------------------
-
-
-def _execute_loop(denoiser, update, init_noise, obs, mac=None, capture=None, residual=None):
-    """Exact-parity oracle: ``execute`` as one indexed write and one fresh sum
-    per (block, step), charging each reuse as it happens.
-
-    It calls the same block, embedding and projection functions, so its
-    results must equal ``execute``'s bit for bit; it encodes the observation
-    and projects the cross-attention keys at every step.  ``residual``, when
-    given, replaces ``block_residual`` and is passed the encoded tokens.  The
-    loop also records the hidden state entering each (block, step) named in
-    ``capture``, which ``pre_block_states`` must reproduce from the served
-    trace.  ``init_noise`` and ``obs`` may carry a leading episode axis.
-    """
-    cfg = denoiser.config
-    action = np.asarray(init_noise, dtype=np.float64)
-    lead = action.shape[:-2]
-    blocks = canonical_blocks(cfg.layers)
-    residuals = np.empty((*lead, len(blocks), cfg.K, cfg.action_tokens, cfg.d_model))
-    actions = np.empty((*lead, cfg.K, cfg.action_tokens, cfg.action_dim))
-    wanted = set(capture) if capture is not None else None
-    captured = {}
-    for t in range(cfg.K):
-        cond = encode_obs(denoiser, obs, mac)
-        if residual is None:
-            cond = cross_kv(denoiser, cond)
-        h = embed_action(denoiser, action, t, mac)
-        for block in blocks:
-            i = block.ordinal
-            if wanted is not None and (block, t) in wanted:
-                captured[(block, t)] = h.copy()
-            if update[i, t]:
-                residuals[..., i, t, :, :] = (residual or block_residual)(
-                    denoiser, block, h, cond, mac)
-            else:
-                residuals[..., i, t, :, :] = residuals[..., i, t - 1, :, :]
-                if mac is not None:
-                    mac.add(math.prod(lead) * cfg.action_tokens * cfg.d_model)
-            h = h + residuals[..., i, t, :, :]
-        action = project_action(denoiser, h, mac)
-        actions[..., t, :, :] = action
-    return action, residuals, actions, captured if wanted is not None else None
 
 
 def _dense(trace):
@@ -290,14 +236,12 @@ def execute_cases(default_denoiser, default_config):
 def test_execute_matches_per_block_oracle(default_denoiser, default_config, execute_cases, case):
     update, capture = execute_cases[case]
     init, obs = synth_episode(default_config, derive_seed(7, 3))
-    mac, oracle_mac = MacCounter(), MacCounter()
-    action, trace = execute(default_denoiser, update, init, obs, mac=mac)
-    want_action, want_residuals, want_actions, want_captured = _execute_loop(
-        default_denoiser, update, init, obs, mac=oracle_mac, capture=capture)
+    action, trace = execute(default_denoiser, update, init, obs)
+    want_action, want_residuals, want_actions, want_captured = execute_oracle(
+        default_denoiser, update, init, obs, capture=capture)
     assert np.array_equal(action, want_action)
     assert np.array_equal(_dense(trace), want_residuals)
     assert np.array_equal(trace.actions, want_actions)
-    assert mac.count == oracle_mac.count
     if capture is not None:
         assert len(want_captured) == len(capture)
         for block in canonical_blocks(default_config.layers):
@@ -307,56 +251,6 @@ def test_execute_matches_per_block_oracle(default_denoiser, default_config, exec
 
 
 # -- the block kernels against their plain per-call formulas -----------------------
-
-
-def _plain_softmax(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _plain_gelu(x):
-    inner = GELU_C * (x + GELU_A * (x * x * x))
-    return 0.5 * x * (1.0 + np.tanh(inner))
-
-
-def _plain_attention(x_q, x_kv, w, heads, causal, mac):
-    """Separate Q, K and V projections of their inputs at every call."""
-    *lead, t_q, d = x_q.shape
-    t_kv = x_kv.shape[-2]
-    d_head = d // heads
-    q = x_q @ w.wq
-    k = x_kv @ w.wk
-    v = x_kv @ w.wv
-    qh = q.reshape(*lead, t_q, heads, d_head).swapaxes(-3, -2)
-    kh = k.reshape(*lead, t_kv, heads, d_head).swapaxes(-3, -2)
-    vh = v.reshape(*lead, t_kv, heads, d_head).swapaxes(-3, -2)
-    scores = qh @ kh.swapaxes(-1, -2) / np.sqrt(d_head)
-    if causal:
-        scores[..., np.triu(np.ones((t_q, t_kv), dtype=bool), k=1)] = -np.inf
-    mixed = _plain_softmax(scores) @ vh
-    out = mixed.swapaxes(-3, -2).reshape(*lead, t_q, d) @ w.wo
-    if mac is not None:
-        mac.add(math.prod(lead) * (t_q * d * d + 2 * t_kv * d * d + 2 * t_q * t_kv * d + t_q * d * d))
-    return out
-
-
-def _plain_block_residual(denoiser, block, h, tokens, mac=None):
-    """The block kernels in plain per-call form: every temporary a new array,
-    and the cross-attention keys and values projected from the tokens."""
-    lw = denoiser.layers[block.layer]
-    heads = denoiser.config.heads
-    if block.kind == "SA":
-        x = _two_pass_layer_norm(h, lw.sa.gamma)
-        return _plain_attention(x, x, lw.sa, heads, True, mac)
-    if block.kind == "CA":
-        x = _two_pass_layer_norm(h, lw.ca.gamma)
-        return _plain_attention(x, tokens, lw.ca, heads, False, mac)
-    x = _two_pass_layer_norm(h, lw.ffn.gamma)
-    out = _plain_gelu(x @ lw.ffn.w1 + lw.ffn.b1) @ lw.ffn.w2 + lw.ffn.b2
-    if mac is not None:
-        mac.add(8 * x.size * x.shape[-1])
-    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -378,15 +272,15 @@ def test_execute_equals_plain_kernel_loop(heads, E, cached):
         init, obs = synth_episode(cfg, derive_seed(11, heads))
     else:
         init, obs = _episodes(cfg, 11 + heads, E)
-    mac, oracle_mac = MacCounter(), MacCounter()
-    action, trace = execute(den, update, init, obs, mac=mac)
-    want_action, want_residuals, want_actions, _ = _execute_loop(
-        den, update, init, obs, mac=oracle_mac, residual=_plain_block_residual)
+    tally = MacTally()
+    action, trace = execute(den, update, init, obs)
+    want_action, want_residuals, want_actions, _ = execute_oracle(
+        den, update, init, obs, tally=tally)
     assert np.array_equal(action, want_action)
     assert np.array_equal(_dense(trace), want_residuals)
     assert np.array_equal(trace.actions, want_actions)
     flops = flops_estimate(cfg, plan)
-    assert mac.count == oracle_mac.count == E * (flops.flops_cached if cached else flops.flops_full)
+    assert tally.count == E * (flops.flops_cached if cached else flops.flops_full)
 
 
 _KERNEL_INPUTS = arrays(
@@ -402,7 +296,7 @@ def test_softmax_equals_plain_form_bitwise(x, seed):
     masked[..., 0] = False
     x[masked] = -np.inf
     before = x.copy()
-    assert np.array_equal(softmax(x), _plain_softmax(x))
+    assert np.array_equal(softmax(x), plain_softmax(x))
     assert np.array_equal(x, before)
 
 
@@ -411,7 +305,7 @@ def test_softmax_equals_plain_form_bitwise(x, seed):
 def test_gelu_equals_plain_form_bitwise_and_keeps_its_input(x, scale):
     x = x * scale
     before = x.copy()
-    assert np.array_equal(gelu(x), _plain_gelu(x))
+    assert np.array_equal(gelu(x), plain_gelu(x))
     assert np.array_equal(x, before)
 
 
@@ -443,7 +337,7 @@ def test_compact_trace_serves_what_the_oracle_served(small_denoiser, update, E, 
     _, trace = execute(small_denoiser, update, init, obs)
 
     assert trace.computed.shape[-3] == update.sum()
-    wants = [_execute_loop(small_denoiser, update, i, o)[1] for i, o in rows]
+    wants = [execute_oracle(small_denoiser, update, i, o)[1] for i, o in rows]
     for i in range(len(update)):
         got = trace.served(i) if E else trace.served(i)[None]
         for e, want in enumerate(wants):
@@ -492,70 +386,53 @@ def test_batched_execute_equals_row_by_row(small_denoiser, E, seed, density):
     update = rng.random((3 * cfg.layers, cfg.K)) < density
     update[:, 0] = True
     inits, obss = _episodes(cfg, seed, E)
-    mac = MacCounter()
-    action, trace = execute(small_denoiser, update, inits, obss, mac=mac)
+    action, trace = execute(small_denoiser, update, inits, obss)
     assert trace.computed.shape == (E, update.sum(), cfg.action_tokens, cfg.d_model)
     computed = trace.computed.copy()
     states = [pre_block_states(small_denoiser, trace, inits, b) for b in blocks]
     assert np.array_equal(trace.computed, computed)  # the gathers leave the trace as it was
     assert states[0].shape == (E, cfg.K, cfg.action_tokens, cfg.d_model)
-    row_macs = 0
     for e in range(E):
-        row_mac = MacCounter()
-        want, row = execute(small_denoiser, update, inits[e], obss[e], mac=row_mac)
-        row_macs += row_mac.count
+        want, row = execute(small_denoiser, update, inits[e], obss[e])
         assert np.array_equal(action[e], want)
         assert np.array_equal(trace.computed[e], row.computed)
         assert np.array_equal(trace.slot, row.slot)
         assert np.array_equal(trace.actions[e], row.actions)
         for block, state in zip(blocks, states):
             assert np.array_equal(state[e], pre_block_states(small_denoiser, row, inits[e], block))
-    assert mac.count == row_macs
 
 
-def test_batched_mac_total_is_sum_of_rows(default_denoiser, default_config):
-    update = np.zeros((3 * default_config.layers, default_config.K), dtype=bool)
-    update[:, ::10] = True
-    inits, obss = _episodes(default_config, 5, 3)
-    mac = MacCounter()
-    execute(default_denoiser, update, inits, obss, mac=mac)
-    rows = []
-    for e in range(3):
-        row = MacCounter()
-        execute(default_denoiser, update, inits[e], obss[e], mac=row)
-        rows.append(row.count)
-    assert rows[0] == rows[1] == rows[2]
-    assert mac.count == sum(rows)
+def _never(*_args, **_kwargs):
+    raise AssertionError("computed a block before checking the inputs")
 
 
-def _assert_rejected_before_any_block(denoiser, init, obs):
-    mac = MacCounter()
+def _assert_rejected_before_any_block(monkeypatch, denoiser, init, obs):
     update = np.ones((3 * denoiser.config.layers, denoiser.config.K), dtype=bool)
+    monkeypatch.setattr("bac.denoiser.block_residual", _never)
     with pytest.raises(DimensionError) as err:
-        execute(denoiser, update, init, obs, mac=mac)
+        execute(denoiser, update, init, obs)
     assert str(init.shape) in str(err.value) and str(obs.shape) in str(err.value)
-    assert mac.count == 0
 
 
-def test_execute_rejects_obs_batch_of_other_length(small_denoiser, small_config):
+def test_execute_rejects_obs_batch_of_other_length(small_denoiser, small_config, monkeypatch):
     inits, obss = _episodes(small_config, 3, 3)
-    _assert_rejected_before_any_block(small_denoiser, inits, obss[:2])
+    _assert_rejected_before_any_block(monkeypatch, small_denoiser, inits, obss[:2])
 
 
-def test_execute_rejects_four_dimensional_noise(small_denoiser, small_config):
+def test_execute_rejects_four_dimensional_noise(small_denoiser, small_config, monkeypatch):
     inits, obss = _episodes(small_config, 3, 2)
-    _assert_rejected_before_any_block(small_denoiser, inits[None], obss[None])
+    _assert_rejected_before_any_block(monkeypatch, small_denoiser, inits[None], obss[None])
 
 
-def test_execute_rejects_empty_batch(small_denoiser, small_config):
+def test_execute_rejects_empty_batch(small_denoiser, small_config, monkeypatch):
     inits, obss = _episodes(small_config, 3, 1)
-    _assert_rejected_before_any_block(small_denoiser, inits[:0], obss[:0])
+    _assert_rejected_before_any_block(monkeypatch, small_denoiser, inits[:0], obss[:0])
 
 
-def test_execute_rejects_unbatched_bad_shapes(small_denoiser, small_episode):
+def test_execute_rejects_unbatched_bad_shapes(small_denoiser, small_episode, monkeypatch):
     init, obs = small_episode
-    _assert_rejected_before_any_block(small_denoiser, init[:, :-1], obs)
-    _assert_rejected_before_any_block(small_denoiser, init, obs[:-1])
+    _assert_rejected_before_any_block(monkeypatch, small_denoiser, init[:, :-1], obs)
+    _assert_rejected_before_any_block(monkeypatch, small_denoiser, init, obs[:-1])
 
 
 # -- resuming from a trace ------------------------------------------------------
@@ -584,17 +461,15 @@ def test_resumed_execute_equals_the_oracle(small_denoiser, first_reuse, agree, E
         other = update.copy()
         other[:, agree:] = rng.random((len(update), cfg.K - agree)) < 0.3
         _, resume = execute(small_denoiser, other, inits, obss)
-    mac, plain_mac = MacCounter(), MacCounter()
-    action, trace = execute(small_denoiser, update, inits, obss, mac=mac, resume=resume)
-    _, plain = execute(small_denoiser, update, inits, obss, mac=plain_mac)
-    want_action, want_residuals, want_actions, _ = _execute_loop(
+    action, trace = execute(small_denoiser, update, inits, obss, resume=resume)
+    _, plain = execute(small_denoiser, update, inits, obss)
+    want_action, want_residuals, want_actions, _ = execute_oracle(
         small_denoiser, update, inits, obss)
     assert np.array_equal(action, want_action)
     assert np.array_equal(_dense(trace), want_residuals)
     assert np.array_equal(trace.actions, want_actions)
     assert np.array_equal(trace.computed, plain.computed)
     assert np.array_equal(trace.slot, plain.slot)
-    assert mac.count == plain_mac.count
 
 
 def _resume_cases(small_denoiser, small_config):
@@ -617,13 +492,7 @@ def _resume_cases(small_denoiser, small_config):
 def test_execute_rejects_a_resume_trace_that_does_not_fit(small_denoiser, small_config,
                                                           monkeypatch, case):
     init, obs, resume = _resume_cases(small_denoiser, small_config)[case]
-
-    def never(*_args, **_kwargs):
-        raise AssertionError("computed a block before checking the resume trace")
-
-    monkeypatch.setattr("bac.denoiser.block_residual", never)
-    mac = MacCounter()
+    monkeypatch.setattr("bac.denoiser.block_residual", _never)
     update = np.ones((3 * small_config.layers, small_config.K), dtype=bool)
     with pytest.raises(ConsistencyError, match="resume is not a trace of this run"):
-        execute(small_denoiser, update, init, obs, mac=mac, resume=resume)
-    assert mac.count == 0
+        execute(small_denoiser, update, init, obs, resume=resume)

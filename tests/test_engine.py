@@ -10,21 +10,15 @@ from bac import denoiser as denoiser_module
 from bac.blocks import BlockId, canonical_blocks
 from bac.bua import SchedulePlan
 from bac.config import DenoiserConfig
-from bac.denoiser import (
-    MacCounter,
-    block_cost,
-    build_denoiser,
-    denoise_full,
-    execute,
-    overhead_per_step,
-    synth_episode,
-)
+from bac.denoiser import build_denoiser, denoise_full, execute, synth_episode
 from bac.engine import (
     MEMORY_CAP_BYTES,
+    block_cost,
     block_errors,
     check_memory,
     flops_estimate,
     memory_estimate,
+    overhead_per_step,
     run_cached,
     uniform_plan,
 )
@@ -32,6 +26,7 @@ from bac.profiler import similarity_matrix
 from bac.errors import BudgetError, ConfigError, ConsistencyError, PlanError
 from bac.rng import derive_seed
 from bac.scheduler import Schedule
+from conftest import MacTally, execute_oracle
 
 
 def _plan(config, steps_fn):
@@ -177,26 +172,28 @@ def test_missing_step_zero_is_cold_cache_error(small_denoiser, small_config, sma
                    reference=denoise_full(small_denoiser, init, obs)[1])
 
 
-def test_plan_mismatch_errors(small_denoiser, small_config, small_episode):
+def _never(*_args, **_kwargs):
+    raise AssertionError("computed a block before checking the plan and the reference")
+
+
+def test_plan_mismatch_errors(small_denoiser, small_config, small_episode, monkeypatch):
     init, obs = small_episode
+    _, ref = denoise_full(small_denoiser, init, obs)
     other = DenoiserConfig(layers=small_config.layers, d_model=16, heads=2,
                            action_tokens=4, cond_tokens=2, action_dim=3,
                            K=small_config.K + 1, seed=1)
-    mac = MacCounter()
-    with pytest.raises(ConsistencyError):
-        run_cached(small_denoiser, full_plan(other), init, obs,
-                   reference=denoise_full(small_denoiser, init, obs)[1], mac=mac)
     wrong_layers = DenoiserConfig(layers=small_config.layers + 1, d_model=16,
                                   heads=2, action_tokens=4, cond_tokens=2,
                                   action_dim=3, K=small_config.K, seed=1)
+    monkeypatch.setattr("bac.denoiser.block_residual", _never)  # refused before any block
+    with pytest.raises(ConsistencyError):
+        run_cached(small_denoiser, full_plan(other), init, obs, reference=ref)
     with pytest.raises(PlanError):
-        run_cached(small_denoiser, full_plan(wrong_layers), init, obs,
-                   reference=denoise_full(small_denoiser, init, obs)[1], mac=mac)
-    assert mac.count == 0  # refused before execute did any work
+        run_cached(small_denoiser, full_plan(wrong_layers), init, obs, reference=ref)
 
 
 def test_run_cached_needs_a_full_reference_of_its_config(small_denoiser, small_config,
-                                                        small_episode):
+                                                        small_episode, monkeypatch):
     """The caller's full pass is the only reference: none is a TypeError, and a
     cached trace or another config's full trace fails by name before the run."""
     init, obs = small_episode
@@ -209,14 +206,14 @@ def test_run_cached_needs_a_full_reference_of_its_config(small_denoiser, small_c
     other = DenoiserConfig(layers=small_config.layers, d_model=8, heads=2, action_tokens=4,
                            cond_tokens=2, action_dim=3, K=small_config.K, seed=1)
     _, foreign = denoise_full(build_denoiser(other), init, synth_episode(other, 0)[1])
-    mac = MacCounter()
+    monkeypatch.setattr("bac.denoiser.block_residual", _never)
     for bad in (cached, foreign):
         with pytest.raises(ConsistencyError, match="not a full trace of this run"):
-            run_cached(small_denoiser, plan, init, obs, reference=bad, mac=mac)
-    assert mac.count == 0
+            run_cached(small_denoiser, plan, init, obs, reference=bad)
 
 
-def test_run_cached_reference_has_the_runs_episode_axis(small_denoiser, small_episode):
+def test_run_cached_reference_has_the_runs_episode_axis(small_denoiser, small_episode,
+                                                       monkeypatch):
     """A batched reference for a one-episode run, or a one-episode reference
     for a batched run, fails by name with both shapes, before the run."""
     init, obs = small_episode
@@ -228,36 +225,30 @@ def test_run_cached_reference_has_the_runs_episode_axis(small_denoiser, small_ep
     def shapes(trace):
         return re.escape(str((trace.computed.shape, trace.slot.shape, trace.actions.shape)))
 
-    mac = MacCounter()
+    monkeypatch.setattr("bac.denoiser.block_residual", _never)
     for noise, o, bad, good in ((init, obs, two, one), (inits, obss, one, two)):
         with pytest.raises(ConsistencyError, match=f"{shapes(bad)}, want {shapes(good)}"):
-            run_cached(small_denoiser, plan, noise, o, reference=bad, mac=mac)
-    assert mac.count == 0
+            run_cached(small_denoiser, plan, noise, o, reference=bad)
 
 
 @given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
 @settings(max_examples=30, deadline=None)
 def test_batched_run_cached_equals_row_by_row(small_denoiser, small_config, E, seed, density):
     """E episodes as one batch: every row's action, errors and deviation equal
-    its own one-episode run bit for bit, the plan's fields are shared, and the
-    MACs are the rows' sum."""
+    its own one-episode run bit for bit, and the plan's fields are shared."""
     update = np.random.default_rng(seed).random((3 * small_config.layers, small_config.K))
     update = update < density
     update[:, 0] = True
     plan = _plan(small_config, lambda b: np.flatnonzero(update[b.ordinal]).tolist())
     runs = [synth_episode(small_config, derive_seed(seed, e)) for e in range(E)]
     inits, obss = (np.stack(arrays) for arrays in zip(*runs))
-    mac = MacCounter()
-    action, report = run_cached(small_denoiser, plan, inits, obss, mac=mac,
+    action, report = run_cached(small_denoiser, plan, inits, obss,
                                 reference=denoise_full(small_denoiser, inits, obss)[1])
     assert report.errors.shape == (E, *update.shape)
     assert report.final_action_l2.shape == (E,)
-    row_macs = 0
     for e, (init, obs) in enumerate(runs):
-        row_mac = MacCounter()
-        want, row = run_cached(small_denoiser, plan, init, obs, mac=row_mac,
+        want, row = run_cached(small_denoiser, plan, init, obs,
                                reference=denoise_full(small_denoiser, init, obs)[1])
-        row_macs += row_mac.count
         assert np.array_equal(action[e], want)
         assert np.array_equal(report.errors[e], row.errors)
         assert type(row.final_action_l2) is float
@@ -265,7 +256,6 @@ def test_batched_run_cached_equals_row_by_row(small_denoiser, small_config, E, s
         assert np.array_equal(report.update_mask, row.update_mask)
         assert np.array_equal(report.provenance, row.provenance)
         assert report.flops == row.flops
-    assert mac.count == row_macs
 
 
 def test_batched_report_block_means_average_episodes_and_steps(small_denoiser, small_config):
@@ -290,19 +280,14 @@ def test_run_cached_refuses_a_reference_of_other_inputs(small_denoiser, small_co
     other = denoise_full(small_denoiser, other_init, other_obs)[1]
     batch = denoise_full(small_denoiser, inits, obss)[1]
 
-    def never(*_args, **_kwargs):
-        raise AssertionError("computed a block before checking the reference")
-
-    monkeypatch.setattr("bac.denoiser.block_residual", never)
-    mac = MacCounter()
+    monkeypatch.setattr("bac.denoiser.block_residual", _never)
     for noise, o, bad in ((init, obs, other), (other_init, obs, other),
                           (inits[::-1], obss[::-1], batch)):
         for plan in (full_plan(small_config),
                      uniform_plan(small_config.K, 4, small_config.layers)):
             with pytest.raises(ConsistencyError, match="reference is not a full trace of "
                                                        "this run: it ran on other init_noise"):
-                run_cached(small_denoiser, plan, noise, o, reference=bad, mac=mac)
-    assert mac.count == 0
+                run_cached(small_denoiser, plan, noise, o, reference=bad)
 
 
 @pytest.mark.parametrize("E", [None, 3], ids=["one-episode", "three-episodes"])
@@ -383,16 +368,21 @@ def test_flops_monotone_in_added_steps(small_config):
 
 
 def test_instrumented_counter_matches_analytic(small_denoiser, small_config, small_episode):
+    """The MACs the plain-kernel oracle counts from its products' shapes, for
+    the mask of each plan's cached run, equal ``flops_estimate``'s."""
     init, obs = small_episode
+    _, ref = denoise_full(small_denoiser, init, obs)
     for steps in [(0,), (0, 3, 7), tuple(range(small_config.K))]:
         plan = _plan(small_config, lambda b: steps)
-        mac = MacCounter()
-        _, report = run_cached(small_denoiser, plan, init, obs,
-                               reference=denoise_full(small_denoiser, init, obs)[1], mac=mac)
-        assert mac.count == report.flops.flops_cached
-    mac = MacCounter()
-    denoise_full(small_denoiser, init, obs, mac=mac)
-    assert mac.count == flops_estimate(small_config, full_plan(small_config)).flops_full
+        action, report = run_cached(small_denoiser, plan, init, obs, reference=ref)
+        tally = MacTally()
+        want = execute_oracle(small_denoiser, report.update_mask, init, obs, tally=tally)[0]
+        assert np.array_equal(action, want)
+        assert tally.count == report.flops.flops_cached
+    tally = MacTally()
+    execute_oracle(small_denoiser, np.ones((3 * small_config.layers, small_config.K), dtype=bool),
+                   init, obs, tally=tally)
+    assert tally.count == flops_estimate(small_config, full_plan(small_config)).flops_full
 
 
 def test_cached_run_stores_each_computed_residual_once(default_denoiser, default_config):
@@ -558,7 +548,7 @@ def test_run_cached_computes_no_step_its_reference_holds(small_denoiser, small_c
                                                          small_episode, monkeypatch,
                                                          steps, served):
     """The steps before the plan's first reuse come from the reference, and so
-    do all steps of the full plan; the MACs still charge them."""
+    do all steps of the full plan."""
     init, obs = small_episode
     _, ref = denoise_full(small_denoiser, init, obs)
     calls = []
@@ -570,7 +560,5 @@ def test_run_cached_computes_no_step_its_reference_holds(small_denoiser, small_c
 
     monkeypatch.setattr("bac.denoiser.block_residual", counted)
     plan = _plan(small_config, lambda b: steps)
-    mac = MacCounter()
-    _, report = run_cached(small_denoiser, plan, init, obs, reference=ref, mac=mac)
+    run_cached(small_denoiser, plan, init, obs, reference=ref)
     assert len(calls) == 3 * small_config.layers * (len(steps) - served)
-    assert mac.count == report.flops.flops_cached
