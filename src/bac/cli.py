@@ -79,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
         "to rebuild similarity matrices)",
     )
     p.add_argument("--config")
-    p.add_argument("--episodes", type=_positive_int, default=1)
-    p.add_argument("--seed", type=_u64, default=0)
+    p.add_argument("--episodes", type=_positive_int)
+    p.add_argument("--seed", type=_u64)
 
     p = sub.add_parser("bubble", help="repair schedules by bubbling union")
     p.add_argument("--profile", required=True)
@@ -107,11 +107,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config")
     p.add_argument("--block")
-    p.add_argument("--episodes", type=_positive_int, default=1)
-    p.add_argument("--seed", type=_u64, default=0)
-    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--episodes", type=_positive_int)
+    p.add_argument("--seed", type=_u64)
+    p.add_argument("--dim", type=int)
     p.add_argument("--out", required=True)
     return parser
+
+
+# The options that schedule and export read only in some modes, and their
+# defaults; then, for each mode, the ones it needs and the others it reads
+_MODE_DEFAULTS = {"config": None, "block": None, "episodes": 1, "seed": 0, "dim": 64}
+_MODE_OPTIONS = {
+    "schedule --anchored": (("config",), ("episodes", "seed")),
+    "schedule without --anchored": ((), ()),
+    "export --what simmatrix": (("config", "block"), ("episodes", "seed")),
+    "export --what remainder": ((), ("seed", "dim")),
+    "export --what beta": (("config",), ("seed",)),
+}
+
+
+def _check_mode_options(args) -> None:
+    """``BacError`` naming the first option that the mode of a schedule or
+    export command needs and lacks, or was given and does not read; the
+    options not given get their defaults."""
+    if args.command == "schedule":
+        mode = "schedule " + ("--anchored" if args.anchored else "without --anchored")
+    elif args.command == "export":
+        mode = f"export --what {args.what}"
+    else:
+        return
+    needs, reads = _MODE_OPTIONS[mode]
+    for name, default in _MODE_DEFAULTS.items():
+        if getattr(args, name, None) is None:
+            if name in needs:
+                raise BacError(f"{mode} needs --{name}")
+            setattr(args, name, default)
+        elif name not in needs + reads:
+            raise BacError(f"--{name} is not read by {mode}")
 
 
 def _cmd_profile(args) -> int:
@@ -125,9 +157,6 @@ def _cmd_profile(args) -> int:
 def _cmd_schedule(args) -> int:
     profile = fileio.read_profile(args.profile)
     if args.anchored:
-        if not args.config:
-            raise BacError("--anchored needs --config (and --seed/--episodes) "
-                           "to rebuild similarity matrices")
         config = load_config(args.config)
         if config.K != profile.K:
             raise ConsistencyError(
@@ -178,7 +207,7 @@ def _cmd_run(args) -> int:
     plans = (plan,)
     if args.baseline:
         kind, _, value = args.baseline.partition(":")
-        if kind != "uniform" or not value.isdigit():
+        if kind != "uniform" or not (value.isascii() and value.isdigit()):
             raise BacError(f"unsupported baseline {args.baseline!r}")
         plans += (uniform_plan(config.K, int(value), config.layers),)
     check_memory(config, full_traces=1, plans=plans)
@@ -214,8 +243,6 @@ def _cmd_verify(_args) -> int:
 
 def _cmd_export(args) -> int:
     if args.what == "simmatrix":
-        if not (args.config and args.block):
-            raise BacError("simmatrix export needs --config and --block")
         config = load_config(args.config)
         block = parse_block_name(args.block)
         if block.layer >= config.layers:
@@ -241,8 +268,6 @@ def _cmd_export(args) -> int:
         return 0
 
     # beta sweep of the downstream update-induced error
-    if not args.config:
-        raise BacError("beta export needs --config")
     config = load_config(args.config)
     check_memory(config, full_traces=2)  # the reference and the frozen-upstream pass
     stats = error_surge_experiment(build_denoiser(config), seeds=[args.seed])
@@ -266,6 +291,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_mode_options(args)
         return _HANDLERS[args.command](args)
     except (BacError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, FormatError, read_text
+from .errors import ConfigError, FormatError, read_file
 
 _MAX_SEED = (1 << 64) - 1
 
@@ -87,7 +87,7 @@ def parse_config_text(text: str) -> DenoiserConfig:
 
 
 def load_config(path: str) -> DenoiserConfig:
-    return parse_config_text(read_text(path))
+    return read_file(path, parse_config_text)
 
 
 def dump_config(config: DenoiserConfig) -> str:

@@ -45,16 +45,11 @@ config a full pass holds 9.8 MB per episode and a cached run 4 KB per update.
 The hidden state that entered a block is not recorded; ``pre_block_states``
 rebuilds it from the served residuals with the loop's own adds, bit for bit.
 
-``execute`` can resume from the trace of an earlier run on the same inputs.
-Every step before the first one at which its update mask differs from that
-run's (read from the trace's slots; a full trace's mask is all true) is
-copied from the trace, and the loop starts at that step.
-``engine.run_cached`` passes its full reference, so a cached run computes
-nothing before its first reuse, step 0 at least.  The copy saves time only
-where a run of the same inputs already exists, as in the lab; a deployed
-cached policy has no such trace and computes every step.
-``check_trace`` is the one rule for whether a trace fits a run: its shapes,
-and the digest of the inputs it ran on, which every trace records.
+``execute`` can copy every step before the mask's first reuse from
+``reference``, a full pass of the same inputs, as ``engine.run_cached`` and
+the error lab's frozen-upstream pass do.  That saves time only where the full
+pass already exists, as in the lab; a deployed cached policy has none and
+computes every step.
 """
 
 from __future__ import annotations
@@ -192,7 +187,7 @@ class FeatureTrace:
     update at or before t.  ``served(i)`` is block i's residual at every
     step.  ``actions[t]`` is the denoiser output after step t.  A batched
     ``execute`` puts a leading episode axis on ``computed`` and ``actions``.
-    ``inputs`` names the run's inputs, so ``check_trace`` can refuse a trace
+    ``inputs`` names the run's inputs, so ``execute`` can refuse a reference
     of other inputs; ``execute`` returns its arrays read-only.
 
     In a full pass every block updates at every step, so ``slot`` is the
@@ -405,40 +400,12 @@ def input_digest(init_noise: np.ndarray, obs: np.ndarray) -> bytes:
     return digest.digest()
 
 
-def check_trace(trace: FeatureTrace, lead: tuple[int, ...], config: DenoiserConfig,
-                name: str, inputs: bytes, full: bool = False) -> None:
-    """``ConsistencyError`` naming ``name`` unless ``trace`` is the trace of a
-    run of ``config`` over the leading axes ``lead`` on the inputs whose
-    ``input_digest`` is ``inputs``, and a full pass if ``full``."""
-    n, T, K = 3 * config.layers, config.action_tokens, config.K
-    updates = n * K if full else int(trace.slot.flat[-1]) + 1  # the last slot's update
-    got = (trace.computed.shape, trace.slot.shape, trace.actions.shape)
-    want = ((*lead, updates, T, config.d_model), (n, K), (*lead, K, T, config.action_dim))
-    if got != want:
-        raise ConsistencyError(
-            f"{name} is not a {'full ' if full else ''}trace of this run: computed, slot "
-            f"and actions shapes {got}, want {want}")
-    if trace.inputs != inputs:
-        raise ConsistencyError(
-            f"{name} is not a {'full ' if full else ''}trace of this run: it ran on other "
-            f"init_noise and obs")
-
-
-def _resume_step(trace: FeatureTrace, update: np.ndarray) -> int:
-    """The first step at which ``update`` differs from the mask behind ``trace``, or K."""
-    # a block updated at step t where its slot moves on; step 0 always updates
-    before = np.ones_like(update)
-    before[:, 1:] = trace.slot[:, 1:] != trace.slot[:, :-1]
-    differs = np.flatnonzero((before != update).any(axis=0))
-    return int(differs[0]) if differs.size else update.shape[1]
-
-
 def execute(
     denoiser: ToyDenoiser,
     update: np.ndarray,
     init_noise: np.ndarray,
     obs: np.ndarray,
-    resume: FeatureTrace | None = None,
+    reference: FeatureTrace | None = None,
 ) -> tuple[np.ndarray, FeatureTrace]:
     """Run all K steps under update-then-reuse, feeding each output into the next step.
 
@@ -450,13 +417,11 @@ def execute(
     each (block, step) served; ``pre_block_states`` rebuilds from it the
     hidden state that entered any block.
 
-    ``resume`` is an optional trace of a run on the same inputs.  Every step
-    before the first one at which ``update`` differs from that run's mask
-    (read from its slots) is served from it: those steps' computed residuals
-    and actions are copied, and the loop starts at that step.  A trace that
-    does not fit the run, by its shapes or by its inputs' digest, fails
-    ``check_trace`` before any block runs.  The returned trace's arrays are
-    read-only.
+    ``reference`` is an optional full pass of the same inputs: the steps
+    before the first at which some block reuses are copied from it, and the
+    loop starts there.  A reference that is not a full pass of this run, by
+    its shapes or its inputs' digest, raises ``ConsistencyError`` before any
+    block runs.  The returned trace's arrays are read-only.
 
     ``init_noise`` (E, T, a) and ``obs`` (E, obs_dim) run E episodes as one
     batch under the shared mask; every result gains a leading episode axis.
@@ -481,9 +446,16 @@ def execute(
         raise PlanError(f"{blocks[cold[0]].name}: cold cache, step 0 must be an update")
     inputs = input_digest(action, obs)
     start = 0
-    if resume is not None:
-        check_trace(resume, lead, cfg, "resume", inputs)
-        start = _resume_step(resume, update)
+    if reference is not None:
+        n, K, T = *update.shape, cfg.action_tokens
+        got = (reference.computed.shape, reference.slot.shape, reference.actions.shape)
+        want = ((*lead, n * K, T, cfg.d_model), (n, K), (*lead, K, T, cfg.action_dim))
+        if got != want or reference.inputs != inputs:
+            why = (f"computed, slot and actions shapes {got}, want {want}" if got != want
+                   else "it ran on other init_noise and obs")
+            raise ConsistencyError(f"reference is not a full trace of this run: {why}")
+        # the first step at which some block reuses; step 0 never does, so 0 means none
+        start = int(np.argmin(update.all(axis=0))) or K
 
     # step 0 always updates, so no block's slots point into the block before it
     slot = np.cumsum(update.ravel()).reshape(update.shape) - 1
@@ -493,11 +465,9 @@ def execute(
     steps = update.T.tolist()  # steps[t][i]: plain bools, no numpy indexing per block
     slots = slot.T.tolist()
     served: list[np.ndarray | None] = [None] * len(blocks)  # each block's last served residual
-    if start:
-        done = update[:, :start]
-        computed[..., slot[:, :start][done], :, :] = \
-            resume.computed[..., resume.slot[:, :start][done], :, :]
-        actions[..., :start, :, :] = resume.actions[..., :start, :, :]
+    if start:  # every block updates at the steps before start
+        computed[..., slot[:, :start], :, :] = reference.residuals[..., :start, :, :]
+        actions[..., :start, :, :] = reference.actions[..., :start, :, :]
         action = actions[..., start - 1, :, :].copy()
         for i, s in enumerate(slot[:, start - 1].tolist()):
             served[i] = by_slot[s]

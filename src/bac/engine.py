@@ -11,11 +11,8 @@ served.  Errors are measured by ``block_errors``, the one error pass (the
 error-surge lab uses it too), against the caller's full-precision reference
 run with identical inputs: block by block, each block's served residuals are
 gathered once, and the L2 distance of every step is one einsum.
-Like ``execute``, ``run_cached`` takes an optional leading episode axis: E
-episodes run as one batch under the plan's one mask, and each row equals its
-own run bit for bit.  It passes the reference to ``execute`` as the trace to
-resume from: the steps before the plan's first reuse, step 0 at least, are
-copied from the reference rather than computed.
+``run_cached`` passes the reference to ``execute``, which checks it and
+copies the steps before the plan's first reuse, step 0 at least.
 
 The wall time of ``run_cached`` covers ``execute`` from the first reuse plus
 the mask and MAC bookkeeping, and no error pass: a cached policy computes no
@@ -61,7 +58,7 @@ import numpy as np
 
 from .blocks import BlockId, canonical_blocks
 from .config import DenoiserConfig
-from .denoiser import FeatureTrace, ToyDenoiser, check_trace, execute, input_digest
+from .denoiser import FeatureTrace, ToyDenoiser, execute
 from .errors import ConfigError, ConsistencyError, PlanError
 from .bua import SchedulePlan
 from .scheduler import Schedule, check_budget
@@ -278,15 +275,12 @@ def run_cached(
 ) -> tuple[np.ndarray, RunReport]:
     """Execute the plan and report it against ``reference``, the full trace
     of ``denoise_full`` on the same inputs (sweeps share one across plans).
-    The run resumes from
-    ``reference``: the steps before the plan's first reuse are copied from
-    it.  A reference whose shapes or inputs differ from the run's fails
-    ``denoiser.check_trace`` with ``ConsistencyError`` before any block runs.
+    ``execute`` copies the steps before the plan's first reuse from it, and
+    refuses a reference that is not a full pass of the run's shapes and
+    inputs with ``ConsistencyError`` before any block runs.
 
-    The report's mask, provenance, deviation and MACs are filled here; its
-    ``errors`` run ``block_errors`` when first read, so this call's wall time
-    covers ``execute`` from the first reuse and the bookkeeping, not the
-    error pass.
+    The report's mask, provenance, deviation and MACs are filled here, and
+    its ``errors`` when first read.
 
     ``init_noise`` (E, T, a), ``obs`` (E, obs_dim) and a reference of the same
     E episodes run as one batch, as in ``execute``: the action, ``errors`` and
@@ -295,15 +289,14 @@ def run_cached(
     """
     cfg = denoiser.config
     flops = flops_estimate(cfg, plan)
-    n, lead = 3 * cfg.layers, np.shape(init_noise)[:-2]
-    check_trace(reference, lead, cfg, "reference", input_digest(init_noise, obs), full=True)
-    update = np.zeros((n, cfg.K), dtype=bool)
+    update = np.zeros((3 * cfg.layers, cfg.K), dtype=bool)
     for block in canonical_blocks(cfg.layers):
         update[block.ordinal, list(plan.schedule(block).steps)] = True
 
-    action, run = execute(denoiser, update, init_noise, obs, resume=reference)
+    action, run = execute(denoiser, update, init_noise, obs, reference=reference)
 
     provenance = np.maximum.accumulate(np.where(update, np.arange(cfg.K), -1), axis=1)
+    lead = action.shape[:-2]
     sq = ((action - reference.actions[..., -1, :, :]) ** 2).reshape(*lead, -1)
     final_dev = np.sqrt(np.mean(sq, axis=-1))
     report = RunReport(

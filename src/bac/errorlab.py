@@ -225,8 +225,8 @@ def error_surge_experiment(
 
     Seeds are an array axis: the episodes of all seeds (each
     ``synth_episode(config, derive_seed(seed, 0))``) run as one batched full
-    pass and one batched ``execute`` under the frozen mask, which resumes
-    from the full pass after step 0, and each beta is one batched
+    pass and one batched ``execute`` under the frozen mask, which copies
+    step 0 from the full pass, its ``reference``, and each beta is one batched
     ``block_residual``.  The errors come from
     ``engine.block_errors``, the one error pass that a ``engine.run_cached``
     report runs too; this function runs ``execute`` itself rather than
@@ -247,7 +247,7 @@ def error_surge_experiment(
     frozen = np.ones((3 * cfg.layers, cfg.K), dtype=bool)
     frozen[upstream.ordinal, 1:] = False  # the upstream block keeps its step-0 cache
     _, ref = denoise_full(denoiser, init, obs)
-    _, run = execute(denoiser, frozen, init, obs, resume=ref)  # step 0 served from ref
+    _, run = execute(denoiser, frozen, init, obs, reference=ref)  # step 0 copied from ref
     errors = block_errors(run, ref)
     staleness, down_err = errors[:, upstream.ordinal], errors[:, downstream.ordinal]
     x_ref = pre_block_states(denoiser, ref, init, downstream)

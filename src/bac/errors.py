@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the text-file read
-that reports a byte outside UTF-8 as a ``FormatError``."""
+"""Exception hierarchy shared across the package, and ``read_file``, the one
+read of an input file, whose ``FormatError`` names the file."""
 
 
 class BacError(Exception):
@@ -45,27 +45,34 @@ class ConsistencyError(BacError):
 class FormatError(BacError):
     """A persisted file does not match its grammar.
 
-    Carries the offending line number when known so CLI messages can name it.
+    Carries the offending line number when known, and the file's path once
+    ``read_file`` has read it, so CLI messages can name both.
     """
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
+    def __init__(self, message: str, line: int | None = None, path: str | None = None):
         super().__init__(message)
+        self.line, self.path = line, path
+
+    def __str__(self) -> str:
+        where = (self.path, None if self.line is None else f"line {self.line}")
+        return ": ".join([w for w in where if w is not None] + [self.args[0]])
 
 
 class CorrelationError(BacError):
     """Pearson correlation undefined because one series has zero variance."""
 
 
-def read_text(path: str) -> str:
-    """The UTF-8 text of the file at ``path``; ``FormatError`` naming the line
-    of the first byte that is not UTF-8."""
+def read_file(path: str, parse):
+    """``parse`` of the UTF-8 text of the file at ``path``.  A byte that is not
+    UTF-8 is a ``FormatError`` naming its line, and every ``FormatError``
+    raised here names ``path``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return parse(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise FormatError(f"byte 0x{data[exc.start]:02x} is not UTF-8",
-                          data.count(b"\n", 0, exc.start) + 1) from None
+                          data.count(b"\n", 0, exc.start) + 1, path) from None
+    except FormatError as exc:
+        exc.path = path
+        raise

@@ -22,7 +22,7 @@ import numpy as np
 from .blocks import BlockId, block_at, canonical_blocks, parse_block_name
 from .bua import SchedulePlan
 from .engine import RunReport
-from .errors import ConsistencyError, DimensionError, FormatError, read_text
+from .errors import ConsistencyError, DimensionError, FormatError, read_file
 from .profiler import BlockStats, SimilarityProfile
 from .scheduler import Schedule, ScheduleError
 
@@ -114,7 +114,7 @@ def write_profile(profile: SimilarityProfile, path: str) -> None:
 
 
 def read_profile(path: str) -> SimilarityProfile:
-    return parse_profile(read_text(path))
+    return read_file(path, parse_profile)
 
 
 # -- schedule ---------------------------------------------------------------
@@ -169,7 +169,7 @@ def write_plan(plan: SchedulePlan, path: str) -> None:
 
 
 def read_plan(path: str, K: int) -> SchedulePlan:
-    return parse_plan(read_text(path), K=K)
+    return read_file(path, lambda text: parse_plan(text, K=K))
 
 
 def dump_added_steps(added: dict[BlockId, tuple[int, ...]]) -> str:

@@ -148,7 +148,7 @@ def test_criterion_04_bit_exact_degenerate_caching(default_denoiser, default_con
             schedules={b: full for b in canonical_blocks(cfg.layers)},
         )
         # run_cached serves the full plan from its reference, so a plan that
-        # reuses is checked against execute from step 0 with no trace to resume
+        # reuses is checked against execute from step 0 with no reference
         reusing = uniform_plan(cfg.K, 10, cfg.layers)
         for seed in range(10):
             init, obs = synth_episode(cfg, derive_seed(seed, 0))

@@ -228,7 +228,7 @@ def test_parse_error_names_line(workspace, capsys):
     bad.write_text("BAC-PROFILE v1\nK=oops\nBLOCKS=6\n")
     code = run_cli("schedule", "--profile", bad, "--budget", 2, "--out", tmp / "s")
     assert code == 2
-    assert "line 2" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {bad}: line 2: malformed header integer\n"
 
 
 # argv ({bad} is the file, {cfg} the workspace's config, {w} the workspace) and
@@ -244,8 +244,9 @@ _READER_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_READER_CASES))
 def test_non_utf8_input_is_a_format_error_naming_its_line(workspace, capsys, case):
-    """A byte outside UTF-8 in an input file exits 2 naming the line of the
-    first such byte; it used to escape as a ``UnicodeDecodeError``, exit 1."""
+    """A byte outside UTF-8 in an input file exits 2 naming the file and the
+    line of the first such byte; it used to escape as a
+    ``UnicodeDecodeError``, exit 1."""
     tmp, cfg = workspace
     argv, text = _READER_CASES[case]
     lines = text.encode().splitlines(keepends=True)
@@ -254,7 +255,7 @@ def test_non_utf8_input_is_a_format_error_naming_its_line(workspace, capsys, cas
     bad.write_bytes(b"".join(lines))
     code = run_cli(*argv.format(bad=bad, cfg=cfg, w=tmp).split())
     assert code == 2
-    assert capsys.readouterr().err == "error: line 3: byte 0xff is not UTF-8\n"
+    assert capsys.readouterr().err == f"error: {bad}: line 3: byte 0xff is not UTF-8\n"
     assert not (tmp / "out").exists()
 
 
@@ -339,6 +340,61 @@ def test_export_beta_curve(workspace):
 def test_export_missing_inputs_exit_two(workspace):
     tmp, _ = workspace
     assert run_cli("export", "--what", "simmatrix", "--out", tmp / "m.csv") == 2
+
+
+def test_baseline_with_a_non_ascii_digit_is_refused(workspace, capsys):
+    """``'²'.isdigit()`` is true but ``int`` refuses it: exit 2 naming the
+    baseline, not a ``ValueError`` traceback and exit 1."""
+    tmp, cfg = workspace
+    sched, report = tmp / "u.bacsched", tmp / "run.report"
+    fileio.write_plan(uniform_plan(12, 4, 2), sched)
+    assert run_cli("run", "--config", cfg, "--sched", sched, "--report", report,
+                   "--baseline", "uniform:²") == 2
+    assert capsys.readouterr().err == "error: unsupported baseline 'uniform:²'\n"
+    assert not report.exists()
+
+
+# argv ({w} is the workspace) of a mode given an option it does not read, the
+# option, and the mode the message names
+_SCHEDULE = "schedule --profile {w}/p.bacprof --budget 3"
+_UNREAD_CASES = {
+    "schedule-config": (_SCHEDULE + " --config /nonexistent.cfg --episodes 9 --seed 5",
+                        "--config", "schedule without --anchored"),
+    "schedule-episodes": (_SCHEDULE + " --episodes 9", "--episodes",
+                          "schedule without --anchored"),
+    "schedule-seed": (_SCHEDULE + " --seed 5", "--seed", "schedule without --anchored"),
+    "remainder-config": ("export --what remainder --config /nonexistent.cfg --block bogus",
+                         "--config", "export --what remainder"),
+    "remainder-block": ("export --what remainder --block bogus", "--block",
+                        "export --what remainder"),
+    "remainder-episodes": ("export --what remainder --episodes 2", "--episodes",
+                           "export --what remainder"),
+    "beta-block": ("export --what beta --config {w}/toy.cfg --block bogus", "--block",
+                   "export --what beta"),
+    "beta-episodes": ("export --what beta --config {w}/toy.cfg --episodes 2", "--episodes",
+                      "export --what beta"),
+    "beta-dim": ("export --what beta --config {w}/toy.cfg --dim 8", "--dim",
+                 "export --what beta"),
+    "simmatrix-dim": ("export --what simmatrix --config {w}/toy.cfg --block layers.0.SA "
+                      "--dim 8", "--dim", "export --what simmatrix"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREAD_CASES))
+def test_an_option_the_mode_does_not_read_is_refused(workspace, capsys, monkeypatch, case):
+    """An option a mode would ignore exits 2 naming it, before any file is
+    read or anything is built; it used to be accepted silently."""
+    tmp, _ = workspace
+    argv, option, mode = _UNREAD_CASES[case]
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("worked before refusing an unread option")
+
+    for name in ("bac.fileio.read_profile", "bac.cli.load_config", "bac.cli.random_ffn"):
+        monkeypatch.setattr(name, never)
+    assert run_cli(*argv.format(w=tmp).split(), "--out", tmp / "out") == 2
+    assert capsys.readouterr().err == f"error: {option} is not read by {mode}\n"
+    assert not (tmp / "out").exists()
 
 
 def test_export_has_no_surface(workspace, capsys):

@@ -435,19 +435,16 @@ def test_execute_rejects_unbatched_bad_shapes(small_denoiser, small_episode, mon
     _assert_rejected_before_any_block(monkeypatch, small_denoiser, init, obs[:-1])
 
 
-# -- resuming from a trace ------------------------------------------------------
+# -- resuming from a full reference -------------------------------------------
 
 
 @given(
     st.integers(1, 12),  # the first step at which some block reuses; 12: none does
-    st.integers(1, 12),  # a cached trace to resume from agrees with the mask before this step
     st.integers(1, 3),  # E
-    st.booleans(),  # resume from the full pass, else from that cached run
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_resumed_execute_equals_the_oracle(small_denoiser, first_reuse, agree, E, from_full,
-                                           seed):
+def test_resumed_execute_equals_the_oracle(small_denoiser, first_reuse, E, seed):
     cfg = small_denoiser.config
     rng = np.random.default_rng(seed)
     update = rng.random((3 * cfg.layers, cfg.K)) < 0.3
@@ -455,13 +452,8 @@ def test_resumed_execute_equals_the_oracle(small_denoiser, first_reuse, agree, E
     if first_reuse < cfg.K:
         update[rng.integers(len(update)), first_reuse] = False
     inits, obss = _episodes(cfg, seed, E)
-    if from_full:
-        _, resume = denoise_full(small_denoiser, inits, obss)
-    else:
-        other = update.copy()
-        other[:, agree:] = rng.random((len(update), cfg.K - agree)) < 0.3
-        _, resume = execute(small_denoiser, other, inits, obss)
-    action, trace = execute(small_denoiser, update, inits, obss, resume=resume)
+    _, reference = denoise_full(small_denoiser, inits, obss)
+    action, trace = execute(small_denoiser, update, inits, obss, reference=reference)
     _, plain = execute(small_denoiser, update, inits, obss)
     want_action, want_residuals, want_actions, _ = execute_oracle(
         small_denoiser, update, inits, obss)
@@ -473,26 +465,30 @@ def test_resumed_execute_equals_the_oracle(small_denoiser, first_reuse, agree, E
 
 
 def _resume_cases(small_denoiser, small_config):
-    """(init, obs, resume trace) triples whose trace does not fit the run."""
+    """(init, obs, reference) triples whose reference is not a full pass of the run."""
     inits, obss = _episodes(small_config, 3, 3)
     _, full = denoise_full(small_denoiser, inits, obss)
     shorter = build_denoiser(dataclasses.replace(small_config, K=small_config.K - 1))
     _, short = denoise_full(shorter, inits, obss)
+    every_fourth = np.zeros((3 * small_config.layers, small_config.K), dtype=bool)
+    every_fourth[:, ::4] = True
+    _, cached = execute(small_denoiser, every_fourth, inits, obss)
     return {
         "fewer-episodes": (inits[:2], obss[:2], full),
         "unbatched": (inits[0], obss[0], full),
         "shorter-horizon": (inits, obss, short),
         "other-inputs": (*_episodes(small_config, 4, 3), full),
         "reordered-episodes": (inits[::-1], obss[::-1], full),
+        "cached-trace": (inits, obss, cached),
     }
 
 
 @pytest.mark.parametrize("case", ["fewer-episodes", "unbatched", "shorter-horizon",
-                                  "other-inputs", "reordered-episodes"])
+                                  "other-inputs", "reordered-episodes", "cached-trace"])
 def test_execute_rejects_a_resume_trace_that_does_not_fit(small_denoiser, small_config,
                                                           monkeypatch, case):
-    init, obs, resume = _resume_cases(small_denoiser, small_config)[case]
+    init, obs, reference = _resume_cases(small_denoiser, small_config)[case]
     monkeypatch.setattr("bac.denoiser.block_residual", _never)
     update = np.ones((3 * small_config.layers, small_config.K), dtype=bool)
-    with pytest.raises(ConsistencyError, match="resume is not a trace of this run"):
-        execute(small_denoiser, update, init, obs, resume=resume)
+    with pytest.raises(ConsistencyError, match="reference is not a full trace of this run"):
+        execute(small_denoiser, update, init, obs, reference=reference)

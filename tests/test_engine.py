@@ -75,7 +75,7 @@ def test_uniform_plan_exact_step_count():
 def test_full_plan_bit_exact(small_denoiser, small_config, small_episode):
     """The full plan, served whole from its reference, and a plan that reuses
     from step 1 on, against ``execute`` of the same mask from step 0 with no
-    trace to resume from."""
+    reference."""
     init, obs = small_episode
     want, trace = denoise_full(small_denoiser, init, obs)
     got, report = run_cached(small_denoiser, full_plan(small_config), init, obs,
