@@ -7,14 +7,21 @@ the largest pairwise-L1 magnitude and forces each of them to update whenever
 any feed-forward block downstream of it updates, by unioning those schedules
 into its own.  Selected blocks are processed deepest-first so an upstream
 block absorbs already-augmented downstream schedules.
+
+The repair is row algebra on the (3L, K) update mask that ``denoiser.execute``
+runs.  ``SchedulePlan.update_mask`` and ``SchedulePlan.from_mask`` are the one
+conversion each way between a plan and its mask.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .blocks import BlockId, canonical_blocks
+import numpy as np
+
+from .blocks import BlockId, block_at, canonical_blocks
 from .errors import PlanError
 from .profiler import SimilarityProfile
 from .scheduler import Schedule
@@ -47,6 +54,24 @@ class SchedulePlan:
         except KeyError:
             raise PlanError(f"plan has no block {block.name}") from None
 
+    @functools.cached_property
+    def update_mask(self) -> np.ndarray:
+        """(3L, K) bool, True where a block updates; read-only, built once."""
+        mask = np.zeros((3 * self.layers, self.K), dtype=bool)
+        for block, sched in self.schedules.items():
+            mask[block.ordinal, list(sched.steps)] = True
+        mask.flags.writeable = False
+        return mask
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray) -> SchedulePlan:
+        """The plan whose ``update_mask`` is ``mask``, a (3L, K) bool array."""
+        n, K = mask.shape
+        return cls(layers=n // 3, schedules={
+            block_at(i): Schedule(tuple(np.flatnonzero(row).tolist()), K)
+            for i, row in enumerate(mask)
+        })
+
 
 def select_upstream_blocks(profile: SimilarityProfile, k: int) -> set[BlockId]:
     """The k blocks with the largest L1 magnitude; ties favor earlier blocks."""
@@ -77,31 +102,22 @@ def bubble_union(plan: SchedulePlan, upstream: Iterable[BlockId]) -> SchedulePla
 
     Returns a new plan; blocks outside ``upstream`` are untouched.  Processing
     runs in descending ordinal so cascades through selected FFNs settle before
-    shallower blocks absorb them.
+    shallower blocks absorb them.  Each union ORs the downstream FFNs' rows of
+    the update mask into the selected block's row.
     """
     selected = set(upstream)
     for u in selected:
         plan.schedule(u)  # validates membership
-    steps: dict[BlockId, set[int]] = {
-        b: set(s.steps) for b, s in plan.schedules.items()
-    }
+    mask = plan.update_mask.copy()
     for u in sorted(selected, key=lambda b: b.ordinal, reverse=True):
-        for v in downstream_ffns(u, plan.layers):
-            steps[u] |= steps[v]
-    schedules = {
-        b: Schedule(tuple(sorted(sset)), plan.K) if b in selected else plan.schedules[b]
-        for b, sset in steps.items()
-    }
-    return SchedulePlan(layers=plan.layers, schedules=schedules)
+        mask[u.ordinal] |= mask[[v.ordinal for v in downstream_ffns(u, plan.layers)]].any(0)
+    return SchedulePlan.from_mask(mask)
 
 
 def added_steps(before: SchedulePlan, after: SchedulePlan) -> dict[BlockId, tuple[int, ...]]:
     """Per-block steps present after repair but not before (only nonempty)."""
     if before.layers != after.layers or before.K != after.K:
         raise PlanError("plans disagree on architecture or horizon")
-    out: dict[BlockId, tuple[int, ...]] = {}
-    for block in canonical_blocks(before.layers):
-        gained = sorted(set(after.schedule(block).steps) - set(before.schedule(block).steps))
-        if gained:
-            out[block] = tuple(gained)
-    return out
+    gained = after.update_mask & ~before.update_mask
+    return {block_at(i): tuple(np.flatnonzero(row).tolist())
+            for i, row in enumerate(gained) if row.any()}

@@ -25,7 +25,6 @@ from .errorlab import error_surge_experiment, random_ffn, remainder_bytes, verif
 from .errors import BacError, ConsistencyError
 from . import fileio
 from .profiler import profile_task, similarity_matrices
-from .rng import derive_seed
 from .scheduler import check_budget, solve_schedule, solve_schedule_anchored
 from .verify import run_all
 

@@ -1,27 +1,28 @@
 """Cached denoising with update-then-reuse semantics plus cost accounting.
 
-Cached and full-precision runs share one forward loop, ``denoiser.execute``:
-a plan becomes a (3L, K) update mask, at an update step a block recomputes its
-residual on the current (possibly error-bearing) hidden state, and at every
-other step the previously served residual is added unchanged, so the feature
-served at step t always comes from max{i in C | i <= t}.  The run's trace
-holds each computed residual once (about 4 KB per update at the default
-config, against 9.8 MB for a full pass), with the slot each (block, step)
-served.  Errors are measured by ``block_errors``, the one error pass (the
-error-surge lab uses it too), against the caller's full-precision reference
-run with identical inputs: block by block, each block's served residuals are
-gathered once, and the L2 distance of every step is one einsum.
-``run_cached`` passes the reference to ``execute``, which checks it and
-copies the steps before the plan's first reuse, step 0 at least.
+Cached and full-precision runs share one forward loop, ``denoiser.execute``,
+which runs a plan's (3L, K) ``update_mask``: at an update step a block
+recomputes its residual on the current (possibly error-bearing) hidden state,
+and at every other step the previously served residual is added unchanged, so
+the feature served at step t always comes from max{i in C | i <= t}.  The
+run's trace holds each computed residual once (about 4 KB per update at the
+default config, against 9.8 MB for a full pass), with the slot each (block,
+step) served.  Errors are measured by ``block_errors``, the one error pass
+(the error-surge lab reads it through ``run_cached`` too), against the
+caller's full-precision reference run with identical inputs: block by block,
+each block's served residuals are gathered once, and the L2 distance of every
+step is one einsum.  ``run_cached`` passes the reference to ``execute``,
+which checks it and copies the steps before the plan's first reuse, step 0 at
+least.
 
 The wall time of ``run_cached`` covers ``execute`` from the first reuse plus
 the mask and MAC bookkeeping, and no error pass: a cached policy computes no
-errors, so the report runs ``block_errors`` when its ``errors`` is first
-read (in ``bac run``, inside the report writers) and keeps the run trace
-(about 4 KB per update) and the reference alive until it is dropped.  It is
-still a lab figure: a deployed cached policy has no reference and computes
-the copied prefix, so against a full pass it overstates what a deployment
-saves by that prefix.
+errors, so the report runs ``block_errors`` when its ``errors`` is first read
+(in ``bac run``, inside the report writers) and keeps the run trace (about
+4 KB per update) and the reference alive until it is dropped.  It is still a
+lab figure: a deployed cached policy has no reference and computes the copied
+prefix, so against a full pass it overstates what a deployment saves by that
+prefix.
 
 Cost model (multiply-accumulates, elementwise ops free).  This module owns
 it: ``block_cost`` and ``overhead_per_step`` give the block and per-step
@@ -35,13 +36,13 @@ MACs.
     output projection T*d*a
     reuse: charged T*d per reused block (the residual add)
 
-The counts are those of the model's per-step design, so they depend on the
-plan's (3L, K) update mask alone.  The conditioning enters at every step: the
-observation encoding in the overhead, and the key and value projections of
-the tokens (2*Tc*d^2) in every CA call, although ``denoiser.execute``
-computes both once per run, since the tokens do not change across steps.
-The steps ``run_cached`` copies from its reference are counted as if they
-had run.
+The counts are those of the model's per-step design, so ``flops_estimate``
+reads them from the plan's ``update_mask`` alone.  The conditioning enters at
+every step: the observation encoding in the overhead, and the key and value
+projections of the tokens (2*Tc*d^2) in every CA call, although
+``denoiser.execute`` computes both once per run, since the tokens do not
+change across steps.  The steps ``run_cached`` copies from its reference are
+counted as if they had run.
 
 flops_full counts every block at every step; flops_cached zeroes skipped
 blocks and adds the reuse charges.  Decoder-only figures exclude both the
@@ -72,7 +73,6 @@ class FlopsBreakdown:
     decoder_flops_full: int
     decoder_flops_cached: int
     decoder_reduction: float
-    overhead_per_step: int
     reuse_adds: int
 
 
@@ -94,7 +94,6 @@ class RunReport:
     """
 
     update_mask: np.ndarray   # (3L, K) bool, True where the block recomputed
-    provenance: np.ndarray    # (3L, K) source step of the feature served at t
     final_action_l2: float | np.ndarray  # rms deviation of the final action
     flops: FlopsBreakdown
     run: FeatureTrace = field(repr=False)        # the cached run's trace
@@ -162,9 +161,9 @@ def flops_estimate(config: DenoiserConfig, plan: SchedulePlan) -> FlopsBreakdown
     decoder_full = 0
     decoder_cached = 0
     reuse_adds = 0
-    for block in canonical_blocks(config.layers):
+    # Python ints from tolist(), so the counts never overflow
+    for block, updates in zip(canonical_blocks(config.layers), plan.update_mask.sum(1).tolist()):
         cost = block_cost(config, block.kind)
-        updates = len(plan.schedule(block))
         decoder_full += config.K * cost
         decoder_cached += updates * cost
         reuse_adds += (config.K - updates) * t * d
@@ -177,7 +176,6 @@ def flops_estimate(config: DenoiserConfig, plan: SchedulePlan) -> FlopsBreakdown
         decoder_flops_full=decoder_full,
         decoder_flops_cached=decoder_cached,
         decoder_reduction=decoder_full / decoder_cached,
-        overhead_per_step=overhead,
         reuse_adds=reuse_adds,
     )
 
@@ -224,7 +222,7 @@ def memory_estimate(
     def trace(updates: int) -> int:
         return updates * t * d + K * t * a + n * K
 
-    updates = [sum(len(p.schedule(b)) for b in canonical_blocks(p.layers)) for p in plans]
+    updates = [int(p.update_mask.sum()) for p in plans]
     return 8 * (weights + scores + hidden + sims + full_traces * trace(n * K)
                 + sum(trace(u) for u in updates))
 
@@ -279,29 +277,21 @@ def run_cached(
     refuses a reference that is not a full pass of the run's shapes and
     inputs with ``ConsistencyError`` before any block runs.
 
-    The report's mask, provenance, deviation and MACs are filled here, and
-    its ``errors`` when first read.
+    The report's mask (the plan's ``update_mask``), deviation and MACs are
+    filled here, and its ``errors`` when first read.
 
     ``init_noise`` (E, T, a), ``obs`` (E, obs_dim) and a reference of the same
     E episodes run as one batch, as in ``execute``: the action, ``errors`` and
     ``final_action_l2`` gain the episode axis, and each row equals its own
     one-episode run bit for bit.
     """
-    cfg = denoiser.config
-    flops = flops_estimate(cfg, plan)
-    update = np.zeros((3 * cfg.layers, cfg.K), dtype=bool)
-    for block in canonical_blocks(cfg.layers):
-        update[block.ordinal, list(plan.schedule(block).steps)] = True
-
-    action, run = execute(denoiser, update, init_noise, obs, reference=reference)
-
-    provenance = np.maximum.accumulate(np.where(update, np.arange(cfg.K), -1), axis=1)
+    flops = flops_estimate(denoiser.config, plan)
+    action, run = execute(denoiser, plan.update_mask, init_noise, obs, reference=reference)
     lead = action.shape[:-2]
     sq = ((action - reference.actions[..., -1, :, :]) ** 2).reshape(*lead, -1)
     final_dev = np.sqrt(np.mean(sq, axis=-1))
     report = RunReport(
-        update_mask=update,
-        provenance=provenance,
+        update_mask=plan.update_mask,
         final_action_l2=final_dev if lead else float(final_dev),
         flops=flops,
         run=run,

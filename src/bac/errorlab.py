@@ -35,18 +35,18 @@ from typing import Sequence
 import numpy as np
 
 from .blocks import BlockId
+from .bua import SchedulePlan
 from .denoiser import (
     FfnWeights,
     ToyDenoiser,
     block_residual,
     denoise_full,
-    execute,
     gelu_prime,
     mlp,
     pre_block_states,
     synth_episode,
 )
-from .engine import block_errors
+from .engine import run_cached
 from .errors import CorrelationError, DegenerateFeatureError, DimensionError
 from .rng import derive_seed
 
@@ -225,13 +225,11 @@ def error_surge_experiment(
 
     Seeds are an array axis: the episodes of all seeds (each
     ``synth_episode(config, derive_seed(seed, 0))``) run as one batched full
-    pass and one batched ``execute`` under the frozen mask, which copies
-    step 0 from the full pass, its ``reference``, and each beta is one batched
-    ``block_residual``.  The errors come from
-    ``engine.block_errors``, the one error pass that a ``engine.run_cached``
-    report runs too; this function runs ``execute`` itself rather than
-    ``run_cached``, because the downstream inputs come from
-    ``pre_block_states`` of each run's trace.
+    pass and one batched ``engine.run_cached`` of the frozen-upstream plan,
+    which copies step 0 from the full pass, its ``reference``, and each beta
+    is one batched ``block_residual``.  The errors are the report's
+    ``errors``, and the downstream inputs come from ``pre_block_states`` of
+    the report's ``run`` trace.
     """
     cfg = denoiser.config
     upstream = BlockId(max(cfg.layers - 2, 0), "FFN")
@@ -247,11 +245,11 @@ def error_surge_experiment(
     frozen = np.ones((3 * cfg.layers, cfg.K), dtype=bool)
     frozen[upstream.ordinal, 1:] = False  # the upstream block keeps its step-0 cache
     _, ref = denoise_full(denoiser, init, obs)
-    _, run = execute(denoiser, frozen, init, obs, reference=ref)  # step 0 copied from ref
-    errors = block_errors(run, ref)
-    staleness, down_err = errors[:, upstream.ordinal], errors[:, downstream.ordinal]
+    _, report = run_cached(denoiser, SchedulePlan.from_mask(frozen), init, obs, reference=ref)
+    staleness = report.errors[:, upstream.ordinal]
+    down_err = report.errors[:, downstream.ordinal]
     x_ref = pre_block_states(denoiser, ref, init, downstream)
-    deviations = pre_block_states(denoiser, run, init, downstream) - x_ref  # x_bad - x_ref
+    deviations = pre_block_states(denoiser, report.run, init, downstream) - x_ref  # x_bad - x_ref
     up_err = np.array([_norms(d) for d in deviations])
     per_seed_r = np.array([pearson(u[1:], d[1:]) for u, d in zip(up_err, down_err)])
 

@@ -56,20 +56,22 @@ def parse_profile(text: str) -> SimilarityProfile:
             raise FormatError("unexpected end of file", idx + 1)
         return lines[idx]
 
+    def header(idx: int, key: str, valid) -> int:
+        line = expect(idx).strip()
+        if not line.startswith(key + "="):
+            raise FormatError(f"expected {key}=<int>", idx + 1)
+        try:
+            value = int(line[len(key) + 1:])
+        except ValueError:
+            raise FormatError("malformed header integer", idx + 1) from None
+        if not valid(value):
+            raise FormatError("header values out of range", idx + 1)
+        return value
+
     if expect(0).strip() != PROFILE_HEADER:
         raise FormatError(f"expected {PROFILE_HEADER!r}", 1)
-    k_line, b_line = expect(1).strip(), expect(2).strip()
-    if not k_line.startswith("K="):
-        raise FormatError("expected K=<int>", 2)
-    if not b_line.startswith("BLOCKS="):
-        raise FormatError("expected BLOCKS=<int>", 3)
-    try:
-        K = int(k_line[2:])
-        n_blocks = int(b_line[7:])
-    except ValueError:
-        raise FormatError("malformed header integer", 2) from None
-    if K < 2 or n_blocks < 3 or n_blocks % 3 != 0:
-        raise FormatError("header values out of range", 2)
+    K = header(1, "K", lambda v: v >= 2)
+    n_blocks = header(2, "BLOCKS", lambda v: v >= 3 and v % 3 == 0)
 
     blocks: dict[BlockId, BlockStats] = {}
     idx = 3

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blocks import BlockId, canonical_blocks
+from .blocks import canonical_blocks
 from .bua import SchedulePlan, bubble_union, downstream_ffns
 from .config import DenoiserConfig
 from .denoiser import FfnWeights, build_denoiser, denoise_full, execute, synth_episode
@@ -19,7 +19,6 @@ from .engine import block_errors, run_cached, uniform_plan
 from .errorlab import linear_response, ln_eps_free, ln_operators, random_ffn, verify_first_order
 from .rng import derive_seed
 from .scheduler import (
-    Schedule,
     anchored_objective,
     brute_force_schedule,
     brute_force_schedule_anchored,
@@ -147,16 +146,9 @@ def check_bubble_union_properties() -> Check:
         layers = int(rng.integers(2, 6))
         K = int(rng.integers(8, 40))
         blocks = canonical_blocks(layers)
-        plan = SchedulePlan(
-            layers=layers,
-            schedules={
-                b: Schedule(
-                    (0, *sorted(rng.choice(np.arange(1, K), size=int(rng.integers(1, min(6, K - 1))), replace=False).tolist())),
-                    K,
-                )
-                for b in blocks
-            },
-        )
+        mask = rng.random((3 * layers, K)) < 0.15
+        mask[:, 0] = True
+        plan = SchedulePlan.from_mask(mask)
         k = int(rng.integers(0, len(blocks) + 1))
         upstream = set(rng.choice(blocks, size=k, replace=False).tolist()) if k else set()
         out = bubble_union(plan, upstream)
@@ -187,11 +179,7 @@ def check_bit_exact_full_plan() -> Check:
     seeds = (3, 11)
     config = DenoiserConfig(layers=3, d_model=32, heads=4, K=40)
     denoiser = build_denoiser(config)
-    full = Schedule(tuple(range(config.K)), config.K)
-    plan = SchedulePlan(
-        layers=config.layers,
-        schedules={b: full for b in canonical_blocks(config.layers)},
-    )
+    plan = SchedulePlan.from_mask(np.ones((3 * config.layers, config.K), dtype=bool))
     uniform = uniform_plan(config.K, 10, config.layers)
     for seed in seeds:
         init, obs = synth_episode(config, derive_seed(seed, 0))

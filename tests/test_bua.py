@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bac.blocks import BlockId, canonical_blocks
 from bac.bua import (
@@ -11,7 +12,7 @@ from bac.bua import (
     downstream_ffns,
     select_upstream_blocks,
 )
-from bac.errors import PlanError
+from bac.errors import PlanError, ScheduleError
 from bac.profiler import BlockStats, SimilarityProfile, profile_task
 from bac.scheduler import Schedule
 
@@ -31,6 +32,52 @@ def _random_plan(rng, layers, K):
         interior = rng.choice(np.arange(1, K), size=n - 1, replace=False)
         schedules[block] = Schedule((0, *sorted(int(v) for v in interior)), K)
     return SchedulePlan(layers=layers, schedules=schedules)
+
+
+def _random_upstream(rng, layers):
+    blocks = canonical_blocks(layers)
+    k = int(rng.integers(0, len(blocks) + 1))
+    return set(blocks[i] for i in rng.choice(len(blocks), size=k, replace=False))
+
+
+# -- plan <-> update mask ----------------------------------------------------------
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_plan_to_mask_and_back_is_identity(seed):
+    rng = np.random.default_rng(seed)
+    plan = _random_plan(rng, int(rng.integers(1, 5)), int(rng.integers(2, 30)))
+    mask = plan.update_mask
+    assert mask.shape == (3 * plan.layers, plan.K) and mask.dtype == bool
+    for block in canonical_blocks(plan.layers):
+        assert np.flatnonzero(mask[block.ordinal]).tolist() == list(plan.schedule(block).steps)
+    assert SchedulePlan.from_mask(mask) == plan
+
+
+@given(arrays(np.bool_, st.tuples(st.sampled_from([3, 6, 9]), st.integers(1, 20))))
+@settings(max_examples=60, deadline=None)
+def test_mask_to_plan_and_back_is_identity(mask):
+    mask[:, 0] = True
+    assert np.array_equal(SchedulePlan.from_mask(mask).update_mask, mask)
+
+
+def test_update_mask_is_read_only_and_built_once():
+    plan = _random_plan(np.random.default_rng(4), 2, 10)
+    mask = plan.update_mask
+    assert mask is plan.update_mask
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0, 1] = True
+
+
+def test_from_mask_refuses_a_cold_cache_and_a_partial_layer():
+    mask = np.ones((6, 10), dtype=bool)
+    mask[4, 0] = False
+    with pytest.raises(ScheduleError, match="step 0"):
+        SchedulePlan.from_mask(mask)
+    with pytest.raises(PlanError, match="cover all"):
+        SchedulePlan.from_mask(np.ones((4, 10), dtype=bool))
 
 
 # -- selection ------------------------------------------------------------------
@@ -127,10 +174,7 @@ def test_union_properties(seed):
     K = int(rng.integers(6, 30))
     plan = _random_plan(rng, layers, K)
     blocks = canonical_blocks(layers)
-    k = int(rng.integers(0, len(blocks) + 1))
-    upstream = set(
-        blocks[i] for i in rng.choice(len(blocks), size=k, replace=False)
-    )
+    upstream = _random_upstream(rng, layers)
     out = bubble_union(plan, upstream)
     again = bubble_union(out, upstream)
     for block in blocks:
@@ -146,6 +190,28 @@ def test_union_properties(seed):
         assert 0 in after
         assert list(out.schedule(block).steps) == sorted(after)
         assert set(again.schedule(block).steps) == after
+
+
+def _set_union_oracle(plan, upstream):
+    """The bubbling union on per-block step sets, as it was written before the
+    mask form: deepest first, each selected block absorbs the step sets of the
+    FFN blocks downstream of it."""
+    steps = {b: set(s.steps) for b, s in plan.schedules.items()}
+    for u in sorted(upstream, key=lambda b: b.ordinal, reverse=True):
+        for v in downstream_ffns(u, plan.layers):
+            steps[u] |= steps[v]
+    return SchedulePlan(layers=plan.layers, schedules={
+        b: Schedule(tuple(sorted(sset)), plan.K) for b, sset in steps.items()})
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_mask_union_equals_set_oracle(seed):
+    rng = np.random.default_rng(seed)
+    layers = int(rng.integers(1, 6))
+    plan = _random_plan(rng, layers, int(rng.integers(2, 30)))
+    upstream = _random_upstream(rng, layers)
+    assert bubble_union(plan, upstream) == _set_union_oracle(plan, upstream)
 
 
 @given(st.integers(0, 2**32 - 1))

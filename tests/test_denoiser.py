@@ -30,7 +30,7 @@ from bac.engine import flops_estimate, run_cached, uniform_plan
 from bac.errors import ConfigError, ConsistencyError, DimensionError
 from bac.profiler import profile_task
 from bac.rng import derive_seed
-from bac.scheduler import Schedule, solve_schedule
+from bac.scheduler import solve_schedule
 from conftest import MacTally, execute_oracle, plain_gelu, plain_softmax, two_pass_layer_norm
 
 
@@ -207,20 +207,13 @@ def _dense(trace):
 def execute_cases(default_denoiser, default_config):
     cfg = default_config
     n, K = 3 * cfg.layers, cfg.K
-
-    def mask_of(plan):
-        update = np.zeros((n, K), dtype=bool)
-        for block in canonical_blocks(cfg.layers):
-            update[block.ordinal, list(plan.schedule(block).steps)] = True
-        return update
-
     profile = profile_task(default_denoiser, 1, 42)
-    dp = np.zeros((n, K), dtype=bool)
-    for block, stats in profile.blocks.items():
-        dp[block.ordinal, list(solve_schedule(stats.s, K, 10)[0].steps)] = True
+    dp = SchedulePlan(layers=cfg.layers, schedules={
+        block: solve_schedule(stats.s, K, 10)[0] for block, stats in profile.blocks.items()
+    }).update_mask
     step0 = np.zeros((n, K), dtype=bool)
     step0[:, 0] = True
-    uniform = mask_of(uniform_plan(K, 10, cfg.layers))
+    uniform = uniform_plan(K, 10, cfg.layers).update_mask
     capture = {(b, t) for b in canonical_blocks(cfg.layers) for t in range(K)}
     return {
         "full": (np.ones((n, K), dtype=bool), None),
@@ -265,9 +258,7 @@ def test_execute_equals_plain_kernel_loop(heads, E, cached):
     den = _default_with_heads(heads)
     cfg = den.config
     plan = uniform_plan(cfg.K, 10 if cached else cfg.K, cfg.layers)
-    update = np.zeros((3 * cfg.layers, cfg.K), dtype=bool)
-    for block in canonical_blocks(cfg.layers):
-        update[block.ordinal, list(plan.schedule(block).steps)] = True
+    update = plan.update_mask
     if E == 1:  # one unbatched episode
         init, obs = synth_episode(cfg, derive_seed(11, heads))
     else:
@@ -312,13 +303,6 @@ def test_gelu_equals_plain_form_bitwise_and_keeps_its_input(x, scale):
 # -- the compact trace: each computed residual once, plus the slot it serves ----
 
 
-def _mask_plan(config, update):
-    return SchedulePlan(layers=config.layers, schedules={
-        b: Schedule(tuple(np.flatnonzero(update[b.ordinal]).tolist()), config.K)
-        for b in canonical_blocks(config.layers)
-    })
-
-
 @given(
     arrays(np.bool_, (6, 12)),  # the small config: 3 x 2 blocks, K = 12
     st.sampled_from([None, 2]),
@@ -348,7 +332,7 @@ def test_compact_trace_serves_what_the_oracle_served(small_denoiser, update, E, 
 
     init, obs = rows[0]
     _, reference = denoise_full(small_denoiser, init, obs)
-    _, report = run_cached(small_denoiser, _mask_plan(cfg, update), init, obs,
+    _, report = run_cached(small_denoiser, SchedulePlan.from_mask(update), init, obs,
                            reference=reference)
     diff = _dense(execute(small_denoiser, update, init, obs)[1]) - reference.residuals
     assert np.array_equal(report.errors, np.sqrt(np.einsum("btij,btij->bt", diff, diff)))

@@ -94,17 +94,26 @@ def test_full_plan_bit_exact(small_denoiser, small_config, small_episode):
 # -- reuse semantics -------------------------------------------------------------
 
 
+def _last_update(report, b, t):
+    """The step whose computed feature block ``b`` serves at ``t``: its last update."""
+    return int(np.flatnonzero(report.update_mask[b, :t + 1])[-1])
+
+
 def test_reuse_provenance_is_latest_update(small_denoiser, small_config, small_episode):
+    """The feature served at t is the one computed at the last update at or
+    before t: the run's trace serves step t from that step's slot."""
     init, obs = small_episode
     plan = _plan(small_config, lambda b: (0, 4, 9))
     _, report = run_cached(small_denoiser, plan, init, obs,
                            reference=denoise_full(small_denoiser, init, obs)[1])
     steps = (0, 4, 9)
     for block in canonical_blocks(small_config.layers):
+        b = block.ordinal
         for t in range(small_config.K):
             want = max(i for i in steps if i <= t)
-            assert report.provenance[block.ordinal, t] == want
-            assert report.update_mask[block.ordinal, t] == (t in steps)
+            assert _last_update(report, b, t) == want
+            assert report.run.slot[b, t] == report.run.slot[b, want]
+            assert report.update_mask[b, t] == (t in steps)
 
 
 def test_zero_plan_surface_is_drift_from_step_zero(small_denoiser, small_config, small_episode):
@@ -125,7 +134,7 @@ def test_zero_plan_surface_is_drift_from_step_zero(small_denoiser, small_config,
 def test_mixed_plan_error_surface(small_denoiser, small_config, small_episode):
     """Per-block schedules that differ: every error is the distance between
     the served and the reference residual, and every served residual is the
-    one computed at its provenance step."""
+    one computed at the block's last update."""
     init, obs = small_episode
     plan = _plan(small_config, lambda b: (0, 2, 7) if b.kind == "FFN" else (0, 5))
     _, reference = denoise_full(small_denoiser, init, obs)
@@ -138,7 +147,7 @@ def test_mixed_plan_error_surface(small_denoiser, small_config, small_episode):
         for t in range(small_config.K):
             dist = np.linalg.norm(feats[t] - reference.residuals[b, t])
             assert report.errors[b, t] == pytest.approx(dist, rel=1e-12, abs=0.0)
-            assert np.array_equal(feats[t], feats[report.provenance[b, t]])
+            assert np.array_equal(feats[t], feats[_last_update(report, b, t)])
     assert report.errors[:, 5].any()
 
 
@@ -254,7 +263,6 @@ def test_batched_run_cached_equals_row_by_row(small_denoiser, small_config, E, s
         assert type(row.final_action_l2) is float
         assert report.final_action_l2[e] == row.final_action_l2
         assert np.array_equal(report.update_mask, row.update_mask)
-        assert np.array_equal(report.provenance, row.provenance)
         assert report.flops == row.flops
 
 

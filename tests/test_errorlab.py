@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bac.blocks import BlockId, canonical_blocks
+from bac.blocks import BlockId
 from bac.bua import SchedulePlan
 from bac.denoiser import FfnWeights, build_denoiser, denoise_full, gelu, synth_episode
 from bac.config import DenoiserConfig
@@ -20,7 +20,6 @@ from bac.errorlab import (
 )
 from bac.errors import CorrelationError, DegenerateFeatureError, DimensionError
 from bac.rng import derive_seed
-from bac.scheduler import Schedule
 
 
 def test_random_ffn_draw_order():
@@ -248,10 +247,9 @@ def test_surge_errors_equal_run_cached_errors():
     cfg = DenoiserConfig(layers=4, d_model=32, heads=4, K=40)
     den = build_denoiser(cfg)
     stats = error_surge_experiment(den, seeds=[1])
-    frozen = Schedule((0,), cfg.K)
-    full = Schedule(tuple(range(cfg.K)), cfg.K)
-    plan = SchedulePlan(layers=cfg.layers, schedules={
-        b: frozen if b == stats.upstream else full for b in canonical_blocks(cfg.layers)})
+    frozen = np.ones((3 * cfg.layers, cfg.K), dtype=bool)
+    frozen[stats.upstream.ordinal, 1:] = False
+    plan = SchedulePlan.from_mask(frozen)
     init, obs = synth_episode(cfg, derive_seed(1, 0))
     _, report = run_cached(den, plan, init, obs, reference=denoise_full(den, init, obs)[1])
     assert np.array_equal(stats.upstream_staleness[0], report.errors[stats.upstream.ordinal])

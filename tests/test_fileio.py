@@ -102,6 +102,22 @@ def test_profile_similarity_outside_cosine_range_named(profile, bad):
         fileio.parse_profile("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("old, new, want", [
+    ("K=12", "K=x", "line 2: malformed header integer"),
+    ("K=12", "K=1", "line 2: header values out of range"),
+    ("K=12", "k=12", "line 2: expected K=<int>"),
+    ("BLOCKS=6", "BLOCKS=x", "line 3: malformed header integer"),
+    ("BLOCKS=6", "BLOCKS=4", "line 3: header values out of range"),
+    ("BLOCKS=6", "BLOCKS=0", "line 3: header values out of range"),
+    ("BLOCKS=6", "blocks=6", "line 3: expected BLOCKS=<int>"),
+])
+def test_profile_header_fault_names_its_line(profile, old, new, want):
+    text = fileio.dump_profile(profile).replace(old, new, 1)
+    with pytest.raises(FormatError) as err:
+        fileio.parse_profile(text)
+    assert str(err.value) == want
+
+
 def test_profile_wrong_similarity_count(profile):
     text = fileio.dump_profile(profile)
     lines = text.splitlines()
@@ -367,11 +383,11 @@ def reports(draw):
 
     def one():
         flops = FlopsBreakdown(draw(count), draw(count), draw(real), draw(count), draw(count),
-                               draw(real), draw(count), draw(count))
+                               draw(real), draw(count))
         errors = np.array(draw(st.lists(st.floats(0.0, 1e6), min_size=3 * layers * K,
                                         max_size=3 * layers * K))).reshape(3 * layers, K)
         none = np.zeros((3 * layers, K), dtype=bool)
-        report = RunReport(none, none.astype(int), draw(real), flops, run=None, reference=None)
+        report = RunReport(none, draw(real), flops, run=None, reference=None)
         object.__setattr__(report, "errors", errors)  # fills the cache: no trace behind it
         return report
 
