@@ -34,9 +34,6 @@ class BlockId:
     def name(self) -> str:
         return f"layers.{self.layer}.{self.kind}"
 
-    def __lt__(self, other: "BlockId") -> bool:
-        return self.ordinal < other.ordinal
-
     def __repr__(self) -> str:
         return f"BlockId({self.name})"
 

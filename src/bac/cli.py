@@ -145,6 +145,14 @@ def _check_mode_options(args) -> None:
             raise BacError(f"--{name} is not read by {mode}")
 
 
+def _agree(a: str, b: str, **pairs) -> None:
+    """``ConsistencyError`` at the first key whose values in files ``a`` and
+    ``b``, the (x, y) in ``pairs``, differ: ``<a> <key>=<x> != <b> <key>=<y>``."""
+    for key, (x, y) in pairs.items():
+        if x != y:
+            raise ConsistencyError(f"{a} {key}={x} != {b} {key}={y}")
+
+
 def _cmd_profile(args) -> int:
     config = load_config(args.config)
     check_memory(config, full_traces=args.episodes)
@@ -157,14 +165,8 @@ def _cmd_schedule(args) -> int:
     profile = fileio.read_profile(args.profile)
     if args.anchored:
         config = load_config(args.config)
-        if config.K != profile.K:
-            raise ConsistencyError(
-                f"config K={config.K} != profile K={profile.K}"
-            )
-        if config.layers != profile.layer_count:
-            raise ConsistencyError(
-                f"config layers={config.layers} != profile layers={profile.layer_count}"
-            )
+        _agree("config", "profile", K=(config.K, profile.K),
+               layers=(config.layers, profile.layer_count))
         check_budget(args.budget, config.K)
         check_memory(config, full_traces=args.episodes, matrices=True)
         matrices = similarity_matrices(build_denoiser(config), args.episodes, args.seed)
@@ -183,10 +185,7 @@ def _cmd_schedule(args) -> int:
 def _cmd_bubble(args) -> int:
     profile = fileio.read_profile(args.profile)
     plan = fileio.read_plan(args.sched, K=profile.K)
-    if plan.layers != profile.layer_count:
-        raise ConsistencyError(
-            f"schedule covers {plan.layers} layers, profile {profile.layer_count}"
-        )
+    _agree("schedule", "profile", layers=(plan.layers, profile.layer_count))
     upstream = select_upstream_blocks(profile, args.topk)
     repaired = bubble_union(plan, upstream)
     fileio.write_plan(repaired, args.out)
@@ -199,10 +198,7 @@ def _cmd_bubble(args) -> int:
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     plan = fileio.read_plan(args.sched, K=config.K)
-    if plan.layers != config.layers:
-        raise ConsistencyError(
-            f"schedule covers {plan.layers} layers, config has {config.layers}"
-        )
+    _agree("schedule", "config", layers=(plan.layers, config.layers))
     plans = (plan,)
     if args.baseline:
         kind, _, value = args.baseline.partition(":")

@@ -250,13 +250,10 @@ def build_denoiser(config: DenoiserConfig) -> ToyDenoiser:
 
     layers = []
     for _ in range(config.layers):
-        sa = AttentionWeights(
-            *(_xavier(stream, d, d, (d, d)) for _ in range(4)),
-            gamma=_frozen_ones(d),
-        )
-        ca = AttentionWeights(
-            *(_xavier(stream, d, d, (d, d)) for _ in range(4)),
-            gamma=_frozen_ones(d),
+        sa, ca = (  # SA's four projections fill before CA's
+            AttentionWeights(*(_xavier(stream, d, d, (d, d)) for _ in range(4)),
+                             gamma=_frozen_ones(d))
+            for _ in range(2)
         )
         w1 = _xavier(stream, d, d_ff, (d, d_ff))
         b1 = _xavier(stream, d, d_ff, (d_ff,))

@@ -56,51 +56,41 @@ def parse_profile(text: str) -> SimilarityProfile:
             raise FormatError("unexpected end of file", idx + 1)
         return lines[idx]
 
-    def header(idx: int, key: str, valid) -> int:
+    def field(idx: int, prefix: str, expected: str, parse, what: str):
+        """``parse`` of line ``idx`` after ``prefix``; a ``FormatError``
+        naming the line if the prefix is absent or ``parse`` fails."""
         line = expect(idx).strip()
-        if not line.startswith(key + "="):
-            raise FormatError(f"expected {key}=<int>", idx + 1)
+        if not line.startswith(prefix):
+            raise FormatError(f"expected {expected}", idx + 1)
         try:
-            value = int(line[len(key) + 1:])
+            return parse(line[len(prefix):])
         except ValueError:
-            raise FormatError("malformed header integer", idx + 1) from None
-        if not valid(value):
-            raise FormatError("header values out of range", idx + 1)
-        return value
+            raise FormatError(f"malformed {what}", idx + 1) from None
 
     if expect(0).strip() != PROFILE_HEADER:
         raise FormatError(f"expected {PROFILE_HEADER!r}", 1)
-    K = header(1, "K", lambda v: v >= 2)
-    n_blocks = header(2, "BLOCKS", lambda v: v >= 3 and v % 3 == 0)
+    K = field(1, "K=", "K=<int>", int, "header integer")
+    if K < 2:
+        raise FormatError("header values out of range", 2)
+    n_blocks = field(2, "BLOCKS=", "BLOCKS=<int>", int, "header integer")
+    if n_blocks < 3 or n_blocks % 3:
+        raise FormatError("header values out of range", 3)
 
     blocks: dict[BlockId, BlockStats] = {}
     idx = 3
     for block in map(block_at, range(n_blocks)):  # lazily: BLOCKS may exceed the file
-        header = expect(idx).strip()
-        if header != f"BLOCK {block.name}":
-            raise FormatError(
-                f"expected 'BLOCK {block.name}', got {header!r}", idx + 1
-            )
-        s_line = expect(idx + 1).strip()
-        if not s_line.startswith("S: "):
-            raise FormatError("expected 'S: ...'", idx + 2)
-        try:
-            s = np.array([float(tok) for tok in s_line[3:].split(",")])
-        except ValueError:
-            raise FormatError("malformed similarity value", idx + 2) from None
+        line = expect(idx).strip()
+        if line != f"BLOCK {block.name}":
+            raise FormatError(f"expected 'BLOCK {block.name}', got {line!r}", idx + 1)
+        s = field(idx + 1, "S: ", "'S: ...'",
+                  lambda t: np.array([float(tok) for tok in t.split(",")]), "similarity value")
         if not (np.abs(s) <= 1.0 + COSINE_SLACK).all():  # also rejects nan and inf
             raise FormatError("similarity values must be finite cosines in [-1, 1]", idx + 2)
         if len(s) != K - 1:
             raise FormatError(
                 f"expected {K - 1} similarities, got {len(s)}", idx + 2
             )
-        l_line = expect(idx + 2).strip()
-        if not l_line.startswith("L1: "):
-            raise FormatError("expected 'L1: ...'", idx + 3)
-        try:
-            ell = float(l_line[4:])
-        except ValueError:
-            raise FormatError("malformed L1 value", idx + 3) from None
+        ell = field(idx + 2, "L1: ", "'L1: ...'", float, "L1 value")
         if not np.isfinite(ell) or ell < 0:
             raise FormatError("L1 magnitude must be finite and nonnegative", idx + 3)
         blocks[block] = BlockStats(s, ell)
@@ -122,12 +112,13 @@ def read_profile(path: str) -> SimilarityProfile:
 # -- schedule ---------------------------------------------------------------
 
 
+def _step_lines(rows) -> str:
+    """One ``layers.<l>.<KIND>: c0,c1,...`` line per (block, steps) row."""
+    return "".join(f"{block.name}: {','.join(map(str, steps))}\n" for block, steps in rows)
+
+
 def dump_plan(plan: SchedulePlan) -> str:
-    lines = []
-    for block in canonical_blocks(plan.layers):
-        steps = ",".join(str(c) for c in plan.schedule(block).steps)
-        lines.append(f"{block.name}: {steps}")
-    return "\n".join(lines) + "\n"
+    return _step_lines((b, plan.schedule(b).steps) for b in canonical_blocks(plan.layers))
 
 
 def parse_plan(text: str, K: int) -> SchedulePlan:
@@ -175,11 +166,7 @@ def read_plan(path: str, K: int) -> SchedulePlan:
 
 
 def dump_added_steps(added: dict[BlockId, tuple[int, ...]]) -> str:
-    lines = [
-        f"{block.name}: {','.join(str(c) for c in steps)}"
-        for block, steps in sorted(added.items(), key=lambda kv: kv[0].ordinal)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _step_lines(sorted(added.items(), key=lambda kv: kv[0].ordinal))
 
 
 # -- report -----------------------------------------------------------------
@@ -258,19 +245,16 @@ def write_report(report: RunReport, path: str, baseline: RunReport | None = None
 
 
 def write_surface_csv(report: RunReport, path: str) -> None:
-    """Error surface (rows: blocks in canonical order) plus <path>.mask."""
+    """Error surface (rows: blocks in canonical order) plus <path>.mask; a
+    mask's True and False print as 1 and 0 through ``fmt_float``."""
     layers, K = _one_run_shape(report)
     header = "block," + ",".join(str(t) for t in range(K))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for block in canonical_blocks(layers):
-            row = ",".join(fmt_float(v) for v in report.errors[block.ordinal])
-            fh.write(f"{block.name},{row}\n")
-    with open(path + ".mask", "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for block in canonical_blocks(layers):
-            row = ",".join(str(int(v)) for v in report.update_mask[block.ordinal])
-            fh.write(f"{block.name},{row}\n")
+    for suffix, surface in (("", report.errors), (".mask", report.update_mask)):
+        with open(path + suffix, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            for block in canonical_blocks(layers):
+                row = ",".join(fmt_float(v) for v in surface[block.ordinal])
+                fh.write(f"{block.name},{row}\n")
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str) -> None:

@@ -94,11 +94,9 @@ class SplitMix64:
         log never sees zero.
         """
         pairs = (n + 1) // 2
-        bits = self._raw(2 * pairs)
-        bits >>= np.uint64(11)
-        u = bits.astype(np.float64)
-        u1 = (u[:pairs] + 1.0) * _INV_2_53
-        u2 = u[pairs:] * _INV_2_53
+        u = self.take(2 * pairs)
+        u1 = u[:pairs] + _INV_2_53  # exact: u is a multiple of 2**-53 below 1
+        u2 = u[pairs:]
         radius = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
         out = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])

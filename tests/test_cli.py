@@ -110,23 +110,43 @@ def test_schedule_anchored_needs_config(workspace):
         assert len(plan.schedule(block).steps) == 3
 
 
-def test_schedule_anchored_rejects_layer_mismatch(workspace, monkeypatch, capsys):
+# Inputs that disagree on layers or K, and the exact refusal each gives;
+# {one} is a 1-layer schedule, {prof} the workspace's 2-layer K=12 profile
+_MISMATCH_CASES = {
+    "run-schedule-layers": ("run --config {cfg} --sched {one} --report {out}",
+                            "schedule layers=1 != config layers=2"),
+    "bubble-schedule-layers": ("bubble --profile {prof} --sched {one} --out {out}",
+                               "schedule layers=1 != profile layers=2"),
+    "anchored-config-K": ("schedule --profile {prof} --budget 3 --anchored --config {k10} "
+                          "--out {out}", "config K=10 != profile K=12"),
+    "anchored-config-layers": ("schedule --profile {prof} --budget 3 --anchored "
+                               "--config {one_layer} --out {out}",
+                               "config layers=1 != profile layers=2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISMATCH_CASES))
+def test_cross_file_mismatch_refused_before_work(workspace, monkeypatch, capsys, case):
     tmp, cfg = workspace
-    prof, sched = tmp / "p.bacprof", tmp / "s.bacsched"
-    run_cli("profile", "--config", cfg, "--seed", 1, "--out", prof)
-    other = tmp / "one_layer.cfg"
-    other.write_text(CONFIG_TEXT.replace("layers=2", "layers=1"))
+    paths = {"cfg": cfg, "out": tmp / "out", "prof": tmp / "p.bacprof",
+             "one": tmp / "one.bacsched", "k10": tmp / "k10.cfg",
+             "one_layer": tmp / "one_layer.cfg"}
+    blocks = {b: BlockStats(np.full(11, 0.9), 1.0) for b in canonical_blocks(2)}
+    fileio.write_profile(SimilarityProfile(K=12, blocks=blocks), paths["prof"])
+    fileio.write_plan(uniform_plan(12, 3, 1), paths["one"])
+    paths["k10"].write_text(CONFIG_TEXT.replace("K=12", "K=10"))
+    paths["one_layer"].write_text(CONFIG_TEXT.replace("layers=2", "layers=1"))
 
-    def no_matrices(*args, **kwargs):
-        raise AssertionError("similarity matrices built before the layer check")
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the agreement check")
 
-    monkeypatch.setattr("bac.cli.similarity_matrices", no_matrices)
+    monkeypatch.setattr("bac.cli.build_denoiser", no_work)
+    monkeypatch.setattr("bac.cli.similarity_matrices", no_work)
+    argv, want = _MISMATCH_CASES[case]
     capsys.readouterr()
-    assert run_cli("schedule", "--profile", prof, "--budget", 3, "--anchored",
-                   "--config", other, "--seed", 1, "--out", sched) == 2
-    err = capsys.readouterr().err
-    assert "layers=1" in err and "profile layers=2" in err
-    assert not sched.exists()
+    assert run_cli(*argv.format(**paths).split()) == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
+    assert not paths["out"].exists()
 
 
 @pytest.mark.parametrize("budget", [0, 13])

@@ -110,6 +110,12 @@ def test_profile_similarity_outside_cosine_range_named(profile, bad):
     ("BLOCKS=6", "BLOCKS=4", "line 3: header values out of range"),
     ("BLOCKS=6", "BLOCKS=0", "line 3: header values out of range"),
     ("BLOCKS=6", "blocks=6", "line 3: expected BLOCKS=<int>"),
+    ("BLOCK layers.0.SA", "BLOCK layers.0.CA",
+     "line 4: expected 'BLOCK layers.0.SA', got 'BLOCK layers.0.CA'"),
+    ("S: ", "s: ", "line 5: expected 'S: ...'"),
+    ("S: ", "S: x,", "line 5: malformed similarity value"),
+    ("L1: ", "l1: ", "line 6: expected 'L1: ...'"),
+    ("L1: ", "L1: x", "line 6: malformed L1 value"),
 ])
 def test_profile_header_fault_names_its_line(profile, old, new, want):
     text = fileio.dump_profile(profile).replace(old, new, 1)

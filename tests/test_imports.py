@@ -1,7 +1,9 @@
-"""Every module-level import in ``src/bac`` is read somewhere in its module.
+"""Every module-level import and private name in ``src/bac`` is read
+somewhere in its module.
 
 No linter ships with the project, so this walks each module's syntax tree:
-the names its top-level imports bind, against the names its code loads.
+the names its top-level imports bind, and the private functions, classes and
+constants it defines, against the names its code loads.
 """
 
 import ast
@@ -34,3 +36,35 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Module-level functions, classes and constants named with one leading
+    underscore (not dunders) that no code in the module loads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                defined.setdefault(name, node.lineno)
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in defined.items() if name not in loaded]
+
+
+def test_scan_finds_an_unread_private_name():
+    source = ("_LIMIT = 3\n__all__ = []\nclass _Kept: pass\n"
+              "def _orphan(): return _LIMIT\ndef public(): return _Kept\n")
+    assert unread_private_names(source) == ["line 4: _orphan"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_reads_every_private_name(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []

@@ -1,3 +1,8 @@
+import numpy as np
+import pytest
+
+from bac.blocks import canonical_blocks
+from bac.bua import SchedulePlan, bubble_union
 from bac.scheduler import Schedule, solve_schedule, solve_schedule_anchored
 from bac.verify import (
     check_anchored_dp_vs_brute_force,
@@ -69,3 +74,53 @@ def test_individual_checks_green():
     assert check_linear_response_suite()[1]
     assert check_bubble_union_properties()[1]
     assert check_bit_exact_full_plan()[1]
+
+
+# Mutants of bubble_union, one per branch of check_bubble_union_properties;
+# each edits rows of the true union's update mask
+
+
+def _union_identity(plan, upstream):
+    return plan
+
+
+def _union_touches_unselected(plan, upstream):
+    mask = bubble_union(plan, upstream).update_mask.copy()
+    for block in canonical_blocks(plan.layers):
+        free = np.flatnonzero(~mask[block.ordinal])
+        if block not in upstream and block.kind != "FFN" and free.size:
+            mask[block.ordinal, free[0]] = True
+            break
+    return SchedulePlan.from_mask(mask)
+
+
+def _union_drops_original_step(plan, upstream):
+    mask = bubble_union(plan, upstream).update_mask.copy()
+    for block in sorted(upstream, key=lambda b: b.ordinal):
+        interior = plan.schedule(block).steps[1:]
+        if interior:
+            mask[block.ordinal, interior[0]] = False
+            break
+    return SchedulePlan.from_mask(mask)
+
+
+def _union_adds_a_step_per_call(plan, upstream):
+    mask = bubble_union(plan, upstream).update_mask.copy()
+    if upstream:
+        row = mask[min(b.ordinal for b in upstream)]
+        row[np.argmin(row)] = True  # its first free step; a full row stays full
+    return SchedulePlan.from_mask(mask)
+
+
+@pytest.mark.parametrize("mutant, prefix", [
+    (_union_identity, "downstream not absorbed at"),
+    (_union_touches_unselected, "untouched block changed:"),
+    (_union_drops_original_step, "superset broken at"),
+    (_union_adds_a_step_per_call, "not idempotent at"),
+], ids=["identity", "touches-unselected", "drops-original-step", "adds-a-step-per-call"])
+def test_mutation_detected_by_bubble_union_check(monkeypatch, mutant, prefix):
+    monkeypatch.setattr("bac.verify.bubble_union", mutant)
+    name, ok, detail = check_bubble_union_properties()
+    assert name == "bubble-union-properties"
+    assert ok is False
+    assert detail.startswith(prefix), detail
