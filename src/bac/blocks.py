@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FormatError
+from .errors import FormatError, parse_int
 
 KINDS = ("SA", "CA", "FFN")
 _KIND_INDEX = {k: i for i, k in enumerate(KINDS)}
@@ -48,15 +48,15 @@ def block_at(ordinal: int) -> BlockId:
     return BlockId(ordinal // 3, KINDS[ordinal % 3])
 
 
-def parse_block_name(text: str, line: int | None = None) -> BlockId:
+def parse_block_name(text: str) -> BlockId:
     """Parse ``layers.<l>.<SA|CA|FFN>``; raises FormatError otherwise."""
     parts = text.strip().split(".")
     if len(parts) != 3 or parts[0] != "layers":
-        raise FormatError(f"bad block name {text!r}", line)
+        raise FormatError(f"bad block name {text!r}")
     try:
-        layer = int(parts[1])
+        layer = parse_int(parts[1])
     except ValueError:
-        raise FormatError(f"bad layer index in {text!r}", line) from None
+        raise FormatError(f"bad layer index in {text!r}") from None
     if layer < 0 or parts[2] not in KINDS:
-        raise FormatError(f"bad block name {text!r}", line)
+        raise FormatError(f"bad block name {text!r}")
     return BlockId(layer, parts[2])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, FormatError, read_file
+from .errors import ConfigError, FormatError, parse_int, read_entries, read_file
 
 _MAX_SEED = (1 << 64) - 1
 
@@ -61,29 +61,15 @@ _FIELD_NAMES = tuple(f.name for f in fields(DenoiserConfig))
 
 
 def parse_config_text(text: str) -> DenoiserConfig:
-    """Parse UTF-8 ``key=value`` lines; unknown or duplicate keys are errors.
+    """Parse ``key=value`` lines (the grammar of ``errors.read_entries``);
+    an unknown key is an error and a missing one takes its default above."""
 
-    Missing keys fall back to the defaults above.  Blank lines and lines
-    starting with ``#`` are ignored.
-    """
-    values: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FormatError(f"expected key=value, got {raw!r}", lineno)
-        key, _, val = line.partition("=")
-        key = key.strip()
+    def value(key: str, val: str) -> int:
         if key not in _FIELD_NAMES:
-            raise FormatError(f"unknown key {key!r}", lineno)
-        if key in values:
-            raise FormatError(f"duplicate key {key!r}", lineno)
-        try:
-            values[key] = int(val.strip())
-        except ValueError:
-            raise FormatError(f"value for {key!r} is not an integer", lineno) from None
-    return DenoiserConfig(**values)
+            raise FormatError(f"unknown key {key!r}")
+        return parse_int(val)
+
+    return DenoiserConfig(**read_entries(text, "=", value, "key=value"))
 
 
 def load_config(path: str) -> DenoiserConfig:

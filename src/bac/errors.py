@@ -1,5 +1,12 @@
-"""Exception hierarchy shared across the package, and ``read_file``, the one
-read of an input file, whose ``FormatError`` names the file."""
+"""Exception hierarchy shared across the package, and the one grammar of its
+text inputs.
+
+``read_file`` is the one read of an input file: its ``FormatError`` names the
+file.  ``read_entries`` is the one reader of ``key<sep>value`` lines (config,
+schedule, report): its ``FormatError`` names the line.  ``parse_int`` and
+``parse_float`` are the one number rule: ASCII text without ``_``, as the
+writers print it.
+"""
 
 
 class BacError(Exception):
@@ -76,3 +83,50 @@ def read_file(path: str, parse):
     except FormatError as exc:
         exc.path = path
         raise
+
+
+def _plain(text: str) -> str:
+    """``text`` if it is ASCII without ``_``; ``ValueError`` otherwise.  Bare
+    ``int`` and ``float`` also take ``1_0`` and non-ASCII digits, which no
+    writer prints."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a plain number: {text!r}")
+    return text
+
+
+def parse_int(text: str) -> int:
+    """``int(text)`` for ASCII text without ``_``; ``ValueError`` otherwise."""
+    return int(_plain(text))
+
+
+def parse_float(text: str) -> float:
+    """``float(text)`` for ASCII text without ``_``; ``ValueError`` otherwise."""
+    return float(_plain(text))
+
+
+def read_entries(text: str, sep: str, parse, what: str) -> dict:
+    """``{key: parse(key, value)}`` over the ``key<sep>value`` lines of
+    ``text``, in file order.  Blank lines and ``#`` comments are skipped and
+    both sides of ``sep`` are stripped.  A line without ``sep`` (``expected
+    <what>``), a repeated key, and a ``ValueError`` from ``parse`` are
+    ``FormatError``s naming the line, and so is any ``FormatError`` that
+    ``parse`` raises."""
+    entries = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, found, value = line.partition(sep)
+        if not found:
+            raise FormatError(f"expected {what}", lineno)
+        key = key.strip()
+        if key in entries:
+            raise FormatError(f"duplicate key {key!r}", lineno)
+        try:
+            entries[key] = parse(key, value.strip())
+        except ValueError:
+            raise FormatError(f"malformed value for {key!r}", lineno) from None
+        except FormatError as exc:
+            exc.line = lineno
+            raise
+    return entries

@@ -11,6 +11,9 @@ profile:   BAC-PROFILE v1 / K=<int> / BLOCKS=<int> followed, per block in
 schedule:  one line per block, `layers.<l>.<KIND>: c0,c1,...` ascending with
            0 present.
 report:    flat key=value lines.
+
+Schedules and reports are read by ``errors.read_entries``, and every number by
+``errors.parse_int`` or ``errors.parse_float``: the grammar the config shares.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import numpy as np
 from .blocks import BlockId, block_at, canonical_blocks, parse_block_name
 from .bua import SchedulePlan
 from .engine import RunReport
-from .errors import ConsistencyError, DimensionError, FormatError, read_file
+from .errors import (ConsistencyError, DimensionError, FormatError, parse_float, parse_int,
+                     read_entries, read_file)
 from .profiler import BlockStats, SimilarityProfile
 from .scheduler import Schedule, ScheduleError
 
@@ -69,10 +73,10 @@ def parse_profile(text: str) -> SimilarityProfile:
 
     if expect(0).strip() != PROFILE_HEADER:
         raise FormatError(f"expected {PROFILE_HEADER!r}", 1)
-    K = field(1, "K=", "K=<int>", int, "header integer")
+    K = field(1, "K=", "K=<int>", parse_int, "header integer")
     if K < 2:
         raise FormatError("header values out of range", 2)
-    n_blocks = field(2, "BLOCKS=", "BLOCKS=<int>", int, "header integer")
+    n_blocks = field(2, "BLOCKS=", "BLOCKS=<int>", parse_int, "header integer")
     if n_blocks < 3 or n_blocks % 3:
         raise FormatError("header values out of range", 3)
 
@@ -83,14 +87,14 @@ def parse_profile(text: str) -> SimilarityProfile:
         if line != f"BLOCK {block.name}":
             raise FormatError(f"expected 'BLOCK {block.name}', got {line!r}", idx + 1)
         s = field(idx + 1, "S: ", "'S: ...'",
-                  lambda t: np.array([float(tok) for tok in t.split(",")]), "similarity value")
+                  lambda t: np.array(list(map(parse_float, t.split(",")))), "similarity value")
         if not (np.abs(s) <= 1.0 + COSINE_SLACK).all():  # also rejects nan and inf
             raise FormatError("similarity values must be finite cosines in [-1, 1]", idx + 2)
         if len(s) != K - 1:
             raise FormatError(
                 f"expected {K - 1} similarities, got {len(s)}", idx + 2
             )
-        ell = field(idx + 2, "L1: ", "'L1: ...'", float, "L1 value")
+        ell = field(idx + 2, "L1: ", "'L1: ...'", parse_float, "L1 value")
         if not np.isfinite(ell) or ell < 0:
             raise FormatError("L1 magnitude must be finite and nonnegative", idx + 3)
         blocks[block] = BlockStats(s, ell)
@@ -122,27 +126,20 @@ def dump_plan(plan: SchedulePlan) -> str:
 
 
 def parse_plan(text: str, K: int) -> SchedulePlan:
-    """Parse a schedule file of horizon K; each line must be a valid ``Schedule``."""
+    """Parse a schedule file of horizon K; each ``name: steps`` line (the
+    grammar of ``errors.read_entries``) must be a valid ``Schedule``."""
     schedules: dict[BlockId, Schedule] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise FormatError("expected 'layers.<l>.<KIND>: steps'", lineno)
-        name, _, steps_text = line.partition(":")
-        block = parse_block_name(name, lineno)
-        if block in schedules:
-            raise FormatError(f"duplicate block {block.name}", lineno)
-        try:
-            steps = tuple(int(tok.strip()) for tok in steps_text.split(","))
-        except ValueError:
-            raise FormatError("malformed step list", lineno) from None
-        try:
-            schedules[block] = Schedule(steps, K)
-        except ScheduleError as exc:
-            raise FormatError(f"{block.name}: {exc}", lineno) from None
 
+    def entry(name: str, steps: str) -> None:
+        block = parse_block_name(name)
+        if block in schedules:  # `layers.0.SA` and `layers.00.SA` are one block
+            raise FormatError(f"duplicate block {block.name}")
+        try:
+            schedules[block] = Schedule(tuple(map(parse_int, steps.split(","))), K)
+        except ScheduleError as exc:
+            raise FormatError(f"{block.name}: {exc}") from None
+
+    read_entries(text, ":", entry, "'layers.<l>.<KIND>: steps'")
     if not schedules:
         raise FormatError("empty schedule file", 1)
     layers = max(b.layer for b in schedules) + 1
@@ -215,20 +212,7 @@ MANDATORY_REPORT_KEYS = (
 
 
 def parse_report(text: str) -> dict[str, float]:
-    values: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise FormatError("expected key=value", lineno)
-        key, _, val = line.partition("=")
-        if key in values:
-            raise FormatError(f"duplicate key {key!r}", lineno)
-        try:
-            values[key] = float(val)
-        except ValueError:
-            raise FormatError(f"malformed value for {key!r}", lineno) from None
+    values = read_entries(text, "=", lambda key, val: parse_float(val), "key=value")
     missing = [k for k in MANDATORY_REPORT_KEYS if k not in values]
     if missing:
         raise ConsistencyError(f"report misses keys: {', '.join(missing)}")

@@ -88,15 +88,20 @@ def _enumerate_best(row_prefix: np.ndarray, budget_S: int) -> Schedule:
     return Schedule((0, *map(int, combos[best])), K)
 
 
-def _validate_similarities(s) -> np.ndarray:
-    s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 1 or len(s) < 1:
-        raise ScheduleError("similarity sequence must be a non-empty 1-D array")
-    bad = np.flatnonzero(~np.isfinite(s))
+def _validate(x, ndim: int, what: str) -> np.ndarray:
+    """``x`` as float64 once it is a non-empty ``ndim``-D array, square if it
+    is a matrix, with finite entries; else ``ScheduleError`` naming ``what``
+    and the first entry that is not finite."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != ndim or x.size == 0 or (ndim == 2 and x.shape[0] != x.shape[1]):
+        if ndim == 1:
+            raise ScheduleError(f"{what} must be a non-empty 1-D array")
+        raise ScheduleError(f"{what} must be a non-empty square 2-D array")
+    bad = np.argwhere(~np.isfinite(x))
     if len(bad):
-        i = int(bad[0])
-        raise ScheduleError(f"similarity sequence entry {i} is {s[i]}")
-    return s
+        at = int(bad[0][0]) if ndim == 1 else tuple(map(int, bad[0]))
+        raise ScheduleError(f"{what} entry {at} is {x[at]}")
+    return x
 
 
 def check_budget(budget_S: int, K: int) -> None:
@@ -106,7 +111,7 @@ def check_budget(budget_S: int, K: int) -> None:
 
 
 def _validate_problem(s, K: int, budget_S: int) -> np.ndarray:
-    s = _validate_similarities(s)
+    s = _validate(s, 1, "similarity sequence")
     if K != len(s) + 1:
         raise ScheduleError(f"K={K} inconsistent with len(s)={len(s)}")
     check_budget(budget_S, K)
@@ -120,7 +125,7 @@ def _tiled_row_prefix(s: np.ndarray) -> np.ndarray:
 
 def objective(schedule: Schedule, s) -> float:
     """Covered interval similarity of ``schedule`` under s_1..s_{K-1}."""
-    return _schedule_score(schedule, _tiled_row_prefix(_validate_similarities(s)))
+    return _schedule_score(schedule, _tiled_row_prefix(_validate(s, 1, "similarity sequence")))
 
 
 def solve_schedule(s, K: int, budget_S: int) -> tuple[Schedule, float]:
@@ -163,27 +168,16 @@ def decomposition_objective(s, K: int, budget_S: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _validate_matrix(sim) -> np.ndarray:
-    sim = np.asarray(sim, dtype=np.float64)
-    if sim.ndim != 2 or sim.shape[0] != sim.shape[1] or sim.size == 0:
-        raise ScheduleError("similarity matrix must be a non-empty square 2-D array")
-    bad = np.argwhere(~np.isfinite(sim))
-    if len(bad):
-        i, j = map(int, bad[0])
-        raise ScheduleError(f"similarity matrix entry ({i}, {j}) is {sim[i, j]}")
-    return sim
-
-
 def _anchored_problem(sim, budget_S: int) -> np.ndarray:
     """Row prefix of a validated matrix, once the budget fits its horizon."""
-    sim = _validate_matrix(sim)
+    sim = _validate(sim, 2, "similarity matrix")
     check_budget(budget_S, len(sim))
     return np.cumsum(sim, axis=1)
 
 
 def anchored_objective(schedule: Schedule, sim: np.ndarray) -> float:
     """Covered anchored similarity of ``schedule`` under the K x K matrix."""
-    return _schedule_score(schedule, np.cumsum(_validate_matrix(sim), axis=1))
+    return _schedule_score(schedule, np.cumsum(_validate(sim, 2, "similarity matrix"), axis=1))
 
 
 def _best_endpoint(totals: np.ndarray, budget_S: int) -> int:

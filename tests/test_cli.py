@@ -279,6 +279,24 @@ def test_non_utf8_input_is_a_format_error_naming_its_line(workspace, capsys, cas
     assert not (tmp / "out").exists()
 
 
+@pytest.mark.parametrize("case, old, new, want", [
+    ("config", "d_model=16", "d_model=1_6", "line 2: malformed value for 'd_model'"),
+    ("profile", "K=12", "K=1_2", "line 2: malformed header integer"),
+    ("schedule", "layers.0.CA", "layers.0_0.CA", "line 2: bad layer index in 'layers.0_0.CA'"),
+])
+def test_a_number_no_writer_prints_exits_two_naming_its_line(workspace, capsys, case, old,
+                                                             new, want):
+    """``1_6`` is 16 to Python's ``int``, but the readers take numbers only as
+    the writers print them."""
+    tmp, cfg = workspace
+    argv, text = _READER_CASES[case]
+    bad = tmp / "bad"
+    bad.write_text(text.replace(old, new, 1))
+    assert run_cli(*argv.format(bad=bad, cfg=cfg, w=tmp).split()) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {want}\n"
+    assert not (tmp / "out").exists()
+
+
 def _edit_profile_line(tmp, cfg, prefix, edit):
     """Profile whose first line starting with ``prefix`` is replaced by
     ``edit(line)``; returns its path and the 1-based number of that line."""

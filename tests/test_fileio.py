@@ -1,11 +1,12 @@
 import re
 import signal
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bac import fileio
@@ -13,9 +14,10 @@ from bac import fileio
 DATA = Path(__file__).parent / "data"
 from bac.blocks import KINDS, BlockId, canonical_blocks
 from bac.bua import SchedulePlan
+from bac.config import DenoiserConfig, dump_config, parse_config_text
 from bac.denoiser import denoise_full, synth_episode
 from bac.engine import FlopsBreakdown, RunReport, run_cached, uniform_plan
-from bac.errors import BacError, ConsistencyError, DimensionError, FormatError
+from bac.errors import BacError, ConsistencyError, DimensionError, FormatError, read_file
 from bac.profiler import BlockStats, SimilarityProfile, profile_task
 from bac.rng import derive_seed
 from bac.scheduler import Schedule
@@ -431,6 +433,94 @@ def test_parse_report_raises_only_bac_errors(text):
         fileio.parse_report(text)
     except BacError:
         pass
+
+
+# -- one grammar: layout and numbers ------------------------------------------------------
+
+
+def _relaid(text, sep, rnd):
+    """``text`` with padding around ``sep`` and at both ends of each line, and
+    blank lines and ``#`` comments (some holding ``sep``) between its lines."""
+    lines = []
+    for line in text.splitlines():
+        key, _, value = line.partition(sep)
+        lines += rnd.choice([[], [""], ["# a=b: c"], ["   ", "  # comment"]])
+        lines.append(f"  {key} {sep}  {value}\t")
+    return "\n".join(lines + rnd.choice([[], ["", "# end"]]))
+
+
+@given(plans(), reports(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_plan_and_report_read_comments_blanks_and_padding(plan, case, rnd):
+    text = fileio.dump_plan(plan)
+    assert fileio.dump_plan(fileio.parse_plan(_relaid(text, ":", rnd), K=plan.K)) == text
+    text = fileio.dump_report(*case)
+    assert fileio.parse_report(_relaid(text, "=", rnd)) == fileio.parse_report(text)
+
+
+def _profile_k4():
+    """A one-layer profile of horizon 4: ``S: 0.25,0.5,0.75`` and ``L1: 15``."""
+    stats = BlockStats(np.array([0.25, 0.5, 0.75]), 15.0)
+    blocks = dict.fromkeys(canonical_blocks(1), stats)
+    return fileio.dump_profile(SimilarityProfile(K=4, blocks=blocks))
+
+
+_PLAN_K12 = fileio.dump_plan(_sample_plan())  # `layers.0.SA: 0,2,8` / `layers.0.CA: 0,3,9` / ...
+_READERS = {
+    "config": parse_config_text,
+    "profile": fileio.parse_profile,
+    "plan": partial(fileio.parse_plan, K=12),
+    "report": fileio.parse_report,
+}
+
+
+# each text reads as valid with Python's `int` and `float`, which also take `_`
+# between digits and non-ASCII digits; no writer prints either
+@pytest.mark.parametrize("kind, text, want", [
+    ("config", "layers=2\nK=1_0\n", "line 2: malformed value for 'K'"),
+    ("config", "layers=\u0663\n", "line 1: malformed value for 'layers'"),
+    ("profile", _profile_k4().replace("K=4", "K=0_4"), "line 2: malformed header integer"),
+    ("profile", _profile_k4().replace("0.25", "0.2_5", 1), "line 5: malformed similarity value"),
+    ("profile", _profile_k4().replace("L1: 15", "L1: 1_5", 1), "line 6: malformed L1 value"),
+    ("plan", _PLAN_K12.replace("0,2,8", "0,2,0_8", 1),
+     "line 1: malformed value for 'layers.0.SA'"),
+    ("plan", _PLAN_K12.replace("0,2,8", "0,2,\u0664", 1),
+     "line 1: malformed value for 'layers.0.SA'"),
+    ("plan", _PLAN_K12.replace("layers.0.CA", "layers.0_0.CA"),
+     "line 2: bad layer index in 'layers.0_0.CA'"),
+    ("report", "flops_full=1_000\nflops_cached=1\nspeedup=1\nfinal_action_l2=0\n",
+     "line 1: malformed value for 'flops_full'"),
+])
+def test_numbers_are_ascii_without_underscores(tmp_path, kind, text, want):
+    parse = _READERS[kind]
+    with pytest.raises(FormatError) as err:
+        parse(text)
+    assert str(err.value) == want
+    path = tmp_path / kind
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        read_file(str(path), parse)
+    assert str(err.value) == f"{path}: {want}"
+
+
+_configs = st.builds(DenoiserConfig, layers=st.integers(1, 10**6), K=st.integers(2, 10**9),
+                     seed=st.integers(0, (1 << 64) - 1))
+
+
+@given(st.one_of(_configs.map(lambda c: (dump_config(c), parse_config_text)),
+                 profiles().map(lambda p: (fileio.dump_profile(p), fileio.parse_profile)),
+                 plans().map(lambda p: (fileio.dump_plan(p), partial(fileio.parse_plan, K=p.K))),
+                 reports().map(lambda c: (fileio.dump_report(*c), fileio.parse_report))),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_an_underscore_in_a_number_names_its_line(dumped, data):
+    text, parse = dumped
+    between_digits = [m.start() for m in re.finditer(r"(?<=\d)(?=\d)", text)]
+    assume(between_digits)
+    at = data.draw(st.sampled_from(between_digits))
+    with pytest.raises(FormatError) as err:
+        parse(text[:at] + "_" + text[at:])
+    assert err.value.line == text.count("\n", 0, at) + 1
 
 
 # -- CSV dumps ------------------------------------------------------------------------------
