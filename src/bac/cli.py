@@ -21,8 +21,8 @@ from .bua import SchedulePlan, added_steps, bubble_union, select_upstream_blocks
 from .config import load_config
 from .denoiser import build_denoiser, denoise_full, synth_episode
 from .engine import check_bytes, check_memory, run_cached, uniform_plan
-from .errorlab import error_surge_experiment, random_ffn, remainder_bytes, verify_first_order
-from .errors import BacError, ConsistencyError
+from .errorlab import error_surge_experiment, remainder_bytes, remainder_curve
+from .errors import BacError, ConsistencyError, write_file
 from . import fileio
 from .profiler import profile_task, similarity_matrices
 from .scheduler import check_budget, solve_schedule, solve_schedule_anchored
@@ -153,10 +153,16 @@ def _agree(a: str, b: str, **pairs) -> None:
             raise ConsistencyError(f"{a} {key}={x} != {b} {key}={y}")
 
 
+def _build(config, **counts):
+    """``build_denoiser(config)`` once ``engine.check_memory(config, **counts)``
+    admits what the command will hold: the one build of every command."""
+    check_memory(config, **counts)
+    return build_denoiser(config)
+
+
 def _cmd_profile(args) -> int:
     config = load_config(args.config)
-    check_memory(config, full_traces=args.episodes)
-    profile = profile_task(build_denoiser(config), args.episodes, args.seed)
+    profile = profile_task(_build(config, full_traces=args.episodes), args.episodes, args.seed)
     fileio.write_profile(profile, args.out)
     return 0
 
@@ -168,8 +174,8 @@ def _cmd_schedule(args) -> int:
         _agree("config", "profile", K=(config.K, profile.K),
                layers=(config.layers, profile.layer_count))
         check_budget(args.budget, config.K)
-        check_memory(config, full_traces=args.episodes, matrices=True)
-        matrices = similarity_matrices(build_denoiser(config), args.episodes, args.seed)
+        denoiser = _build(config, full_traces=args.episodes, matrices=True)
+        matrices = similarity_matrices(denoiser, args.episodes, args.seed)
         schedules = {
             b: solve_schedule_anchored(matrices[b], args.budget) for b in matrices
         }
@@ -190,8 +196,7 @@ def _cmd_bubble(args) -> int:
     repaired = bubble_union(plan, upstream)
     fileio.write_plan(repaired, args.out)
     if args.diff:
-        with open(args.diff, "w", encoding="utf-8") as fh:
-            fh.write(fileio.dump_added_steps(added_steps(plan, repaired)))
+        write_file(args.diff, fileio.dump_added_steps(added_steps(plan, repaired)))
     return 0
 
 
@@ -205,9 +210,7 @@ def _cmd_run(args) -> int:
         if kind != "uniform" or not (value.isascii() and value.isdigit()):
             raise BacError(f"unsupported baseline {args.baseline!r}")
         plans += (uniform_plan(config.K, int(value), config.layers),)
-    check_memory(config, full_traces=1, plans=plans)
-
-    denoiser = build_denoiser(config)
+    denoiser = _build(config, full_traces=1, plans=plans)
     init, obs = synth_episode(config, args.seed)
     _, reference = denoise_full(denoiser, init, obs)
     report, *baseline = [run_cached(denoiser, p, init, obs, reference=reference)[1]
@@ -242,8 +245,8 @@ def _cmd_export(args) -> int:
         block = parse_block_name(args.block)
         if block.layer >= config.layers:
             raise BacError(f"no block {block.name} in this {config.layers}-layer architecture")
-        check_memory(config, full_traces=args.episodes, matrices=True)
-        matrices = similarity_matrices(build_denoiser(config), args.episodes, args.seed)
+        denoiser = _build(config, full_traces=args.episodes, matrices=True)
+        matrices = similarity_matrices(denoiser, args.episodes, args.seed)
         fileio.write_matrix_csv(matrices[block], args.out)
         return 0
 
@@ -252,20 +255,15 @@ def _cmd_export(args) -> int:
             raise BacError(f"--dim must be at least 1, got {args.dim}")
         check_bytes(remainder_bytes(args.dim), "feed-forward weights and LayerNorm operators",
                     "use a smaller --dim")
-        rng = np.random.default_rng(args.seed)
-        params = random_ffn(rng, args.dim)
-        x = rng.normal(size=args.dim)
-        delta = rng.normal(size=args.dim)
-        delta /= np.linalg.norm(delta)
-        scales = [1e-2 / 2**i for i in range(6)]
-        curve = verify_first_order(params, x, delta, scales)
+        curve = remainder_curve(np.random.default_rng(args.seed), args.dim,
+                                [1e-2 / 2**i for i in range(6)])
         fileio.write_curve_csv(curve.scales, curve.remainders, args.out, ("eps", "remainder"))
         return 0
 
     # beta sweep of the downstream update-induced error
     config = load_config(args.config)
-    check_memory(config, full_traces=2)  # the reference and the frozen-upstream pass
-    stats = error_surge_experiment(build_denoiser(config), seeds=[args.seed])
+    denoiser = _build(config, full_traces=2)  # the reference and the frozen-upstream pass
+    stats = error_surge_experiment(denoiser, seeds=[args.seed])
     fileio.write_curve_csv(
         stats.betas, stats.beta_errors[0], args.out, ("beta", "downstream_error")
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, FormatError, parse_int, read_entries, read_file
+from .errors import ConfigError, FormatError, parse_int, read_entries, read_file, write_file
 
 _MAX_SEED = (1 << 64) - 1
 
@@ -81,5 +81,4 @@ def dump_config(config: DenoiserConfig) -> str:
 
 
 def write_config(config: DenoiserConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_config(config))
+    write_file(path, dump_config(config))

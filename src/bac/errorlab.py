@@ -115,8 +115,8 @@ def ln_operators(x: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarr
     stats = ln_stats(x)
     d, sigma = stats.d, stats.sigma
     centered = x - stats.mu
-    a_op = (np.diag(gamma) @ (np.eye(d) - np.ones((d, d)) / d)) / sigma
-    b_op = (np.diag(gamma) @ np.outer(centered, centered)) / (d * sigma**3)
+    a_op = (gamma[:, None] * (np.eye(d) - np.ones((d, d)) / d)) / sigma
+    b_op = (gamma[:, None] * np.outer(centered, centered)) / (d * sigma**3)
     return a_op, b_op
 
 
@@ -171,6 +171,16 @@ def verify_first_order(
         # directions where the block is locally constant)
         ratios = remainders[:-1] / remainders[1:]
     return RemainderCurve(scales=scales, remainders=remainders, ratios=ratios)
+
+
+def remainder_curve(rng: np.random.Generator, d: int, scales: Sequence[float]) -> RemainderCurve:
+    """``verify_first_order`` of one random case: ``random_ffn(rng, d)``, then
+    a normal ``x``, then a normal direction scaled to the unit ``delta``, all
+    drawn from ``rng`` in that order."""
+    params = random_ffn(rng, d)
+    x = rng.normal(size=d)
+    delta = rng.normal(size=d)
+    return verify_first_order(params, x, delta / np.linalg.norm(delta), scales)
 
 
 def pearson(a: np.ndarray, b: np.ndarray) -> float:

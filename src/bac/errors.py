@@ -2,10 +2,10 @@
 text inputs.
 
 ``read_file`` is the one read of an input file: its ``FormatError`` names the
-file.  ``read_entries`` is the one reader of ``key<sep>value`` lines (config,
-schedule, report): its ``FormatError`` names the line.  ``parse_int`` and
-``parse_float`` are the one number rule: ASCII text without ``_``, as the
-writers print it.
+file.  ``write_file`` is the one write of an output file.  ``read_entries`` is
+the one reader of ``key<sep>value`` lines (config, schedule, report): its
+``FormatError`` names the line.  ``parse_int`` and ``parse_float`` are the
+one number rule: ASCII text without ``_``, as the writers print it.
 """
 
 
@@ -83,6 +83,13 @@ def read_file(path: str, parse):
     except FormatError as exc:
         exc.path = path
         raise
+
+
+def write_file(path: str, text: str) -> None:
+    """Write ``text``, built whole by the caller, as the UTF-8 file at ``path``,
+    so a writer that fails while formatting leaves no file behind."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _plain(text: str) -> str:

@@ -10,10 +10,12 @@ profile:   BAC-PROFILE v1 / K=<int> / BLOCKS=<int> followed, per block in
                L1: <real>
 schedule:  one line per block, `layers.<l>.<KIND>: c0,c1,...` ascending with
            0 present.
-report:    flat key=value lines.
+report:    flat key=value lines: the seven section keys and err.<block>, each
+           bare or with the baseline_ prefix; any other key is refused.
 
 Schedules and reports are read by ``errors.read_entries``, and every number by
 ``errors.parse_int`` or ``errors.parse_float``: the grammar the config shares.
+Every file is written by ``errors.write_file`` from its whole text.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .blocks import BlockId, block_at, canonical_blocks, parse_block_name
 from .bua import SchedulePlan
 from .engine import RunReport
 from .errors import (ConsistencyError, DimensionError, FormatError, parse_float, parse_int,
-                     read_entries, read_file)
+                     read_entries, read_file, write_file)
 from .profiler import BlockStats, SimilarityProfile
 from .scheduler import Schedule, ScheduleError
 
@@ -105,8 +107,7 @@ def parse_profile(text: str) -> SimilarityProfile:
 
 
 def write_profile(profile: SimilarityProfile, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_profile(profile))
+    write_file(path, dump_profile(profile))
 
 
 def read_profile(path: str) -> SimilarityProfile:
@@ -154,8 +155,7 @@ def parse_plan(text: str, K: int) -> SchedulePlan:
 
 
 def write_plan(plan: SchedulePlan, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_plan(plan))
+    write_file(path, dump_plan(plan))
 
 
 def read_plan(path: str, K: int) -> SchedulePlan:
@@ -180,39 +180,45 @@ def _one_run_shape(report: RunReport) -> tuple[int, int]:
     return n // 3, K
 
 
+# the keys of a report section, in file order; err.<block> lines follow them
+_SECTION_KEYS = ("flops_full", "flops_cached", "speedup", "final_action_l2",
+                 "decoder_flops_full", "decoder_flops_cached", "decoder_reduction")
+MANDATORY_REPORT_KEYS = _SECTION_KEYS[:4]
+_BASELINE = "baseline_"
+
+
 def dump_report(report: RunReport, baseline: RunReport | None = None) -> str:
     def section(rep: RunReport, prefix: str = "") -> list[str]:
         _one_run_shape(rep)
         f = rep.flops
-        lines = [
-            f"{prefix}flops_full={f.flops_full}",
-            f"{prefix}flops_cached={f.flops_cached}",
-            f"{prefix}speedup={fmt_float(f.speedup)}",
-            f"{prefix}final_action_l2={fmt_float(rep.final_action_l2)}",
-            f"{prefix}decoder_flops_full={f.decoder_flops_full}",
-            f"{prefix}decoder_flops_cached={f.decoder_flops_cached}",
-            f"{prefix}decoder_reduction={fmt_float(f.decoder_reduction)}",
-        ]
+        values = (f.flops_full, f.flops_cached, fmt_float(f.speedup),
+                  fmt_float(rep.final_action_l2), f.decoder_flops_full,
+                  f.decoder_flops_cached, fmt_float(f.decoder_reduction))
+        lines = [f"{prefix}{key}={value}" for key, value in zip(_SECTION_KEYS, values)]
         for block, err in rep.block_mean_errors().items():
             lines.append(f"{prefix}err.{block.name}={fmt_float(err)}")
         return lines
 
     lines = section(report)
     if baseline is not None:
-        lines += section(baseline, prefix="baseline_")
+        lines += section(baseline, prefix=_BASELINE)
     return "\n".join(lines) + "\n"
 
 
-MANDATORY_REPORT_KEYS = (
-    "flops_full",
-    "flops_cached",
-    "speedup",
-    "final_action_l2",
-)
-
-
 def parse_report(text: str) -> dict[str, float]:
-    values = read_entries(text, "=", lambda key, val: parse_float(val), "key=value")
+    """The values of a report, by key.  A key is a section key or
+    ``err.<block>``, bare or after ``baseline_``; any other key is a
+    ``FormatError`` naming its line."""
+
+    def value(key: str, val: str) -> float:
+        name = key.removeprefix(_BASELINE)
+        if name.startswith("err."):
+            parse_block_name(name[len("err."):])
+        elif name not in _SECTION_KEYS:
+            raise FormatError(f"unknown key {key!r}")
+        return parse_float(val)
+
+    values = read_entries(text, "=", value, "key=value")
     missing = [k for k in MANDATORY_REPORT_KEYS if k not in values]
     if missing:
         raise ConsistencyError(f"report misses keys: {', '.join(missing)}")
@@ -220,35 +226,33 @@ def parse_report(text: str) -> dict[str, float]:
 
 
 def write_report(report: RunReport, path: str, baseline: RunReport | None = None) -> None:
-    text = dump_report(report, baseline)  # before the file opens: a refused report writes none
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_file(path, dump_report(report, baseline))
 
 
 # -- CSV dumps ----------------------------------------------------------------
 
 
+def _csv_row(values) -> str:
+    """One CSV line of numbers, each through ``fmt_float``."""
+    return ",".join(map(fmt_float, values)) + "\n"
+
+
 def write_surface_csv(report: RunReport, path: str) -> None:
     """Error surface (rows: blocks in canonical order) plus <path>.mask; a
-    mask's True and False print as 1 and 0 through ``fmt_float``."""
+    mask's True and False print as 1 and 0 through ``fmt_float``.  Both texts
+    are built before either file is written."""
     layers, K = _one_run_shape(report)
-    header = "block," + ",".join(str(t) for t in range(K))
-    for suffix, surface in (("", report.errors), (".mask", report.update_mask)):
-        with open(path + suffix, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for block in canonical_blocks(layers):
-                row = ",".join(fmt_float(v) for v in surface[block.ordinal])
-                fh.write(f"{block.name},{row}\n")
+    header = "block," + ",".join(map(str, range(K))) + "\n"
+    texts = {path + suffix: header + "".join(f"{b.name},{_csv_row(surface[b.ordinal])}"
+                                             for b in canonical_blocks(layers))
+             for suffix, surface in (("", report.errors), (".mask", report.update_mask))}
+    for out, text in texts.items():
+        write_file(out, text)
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in matrix:
-            fh.write(",".join(fmt_float(v) for v in row) + "\n")
+    write_file(path, "".join(map(_csv_row, matrix)))
 
 
 def write_curve_csv(xs, ys, path: str, header: tuple[str, str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{header[0]},{header[1]}\n")
-        for x, y in zip(xs, ys):
-            fh.write(f"{fmt_float(x)},{fmt_float(y)}\n")
+    write_file(path, f"{header[0]},{header[1]}\n" + "".join(map(_csv_row, zip(xs, ys))))

@@ -139,7 +139,7 @@ def solve_schedule(s, K: int, budget_S: int) -> tuple[Schedule, float]:
     s = _validate_problem(s, K, budget_S)
     interior = np.sort(np.argsort(s, kind="stable")[: budget_S - 1] + 1)
     schedule = Schedule((0, *map(int, interior)), K)
-    return schedule, objective(schedule, s)
+    return schedule, _schedule_score(schedule, _tiled_row_prefix(s))
 
 
 def brute_force_schedule(s, K: int, budget_S: int) -> Schedule:

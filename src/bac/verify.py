@@ -18,7 +18,7 @@ from .bua import SchedulePlan, bubble_union, downstream_ffns
 from .config import DenoiserConfig
 from .denoiser import FfnWeights, build_denoiser, denoise_full, execute, synth_episode
 from .engine import block_errors, run_cached, uniform_plan
-from .errorlab import linear_response, ln_eps_free, ln_operators, random_ffn, verify_first_order
+from .errorlab import linear_response, ln_eps_free, ln_operators, remainder_curve
 from .rng import derive_seed
 from .scheduler import (
     anchored_objective,
@@ -77,14 +77,8 @@ def check_linear_response_suite() -> Check:
     ok = True
     details = []
 
-    ratios = []
-    for _ in range(12):
-        params = random_ffn(rng, d)
-        x = rng.normal(size=d)
-        delta = rng.normal(size=d)
-        delta /= np.linalg.norm(delta)
-        curve = verify_first_order(params, x, delta, [1e-2, 5e-3, 2.5e-3])
-        ratios.extend(curve.ratios)
+    ratios = np.concatenate([remainder_curve(rng, d, [1e-2, 5e-3, 2.5e-3]).ratios
+                             for _ in range(12)])
     med = float(np.median(ratios))
     if not 3.5 <= med <= 4.5:
         ok = False

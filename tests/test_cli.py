@@ -428,7 +428,7 @@ def test_an_option_the_mode_does_not_read_is_refused(workspace, capsys, monkeypa
     def never(*_args, **_kwargs):
         raise AssertionError("worked before refusing an unread option")
 
-    for name in ("bac.fileio.read_profile", "bac.cli.load_config", "bac.cli.random_ffn"):
+    for name in ("bac.fileio.read_profile", "bac.cli.load_config", "bac.errorlab.random_ffn"):
         monkeypatch.setattr(name, never)
     assert run_cli(*argv.format(w=tmp).split(), "--out", tmp / "out") == 2
     assert capsys.readouterr().err == f"error: {option} is not read by {mode}\n"
@@ -472,7 +472,7 @@ def test_export_remainder_refuses_above_the_cap_before_drawing(workspace, capsys
     def never(*_args, **_kwargs):
         raise AssertionError("drew the random FFN above the memory cap")
 
-    monkeypatch.setattr("bac.cli.random_ffn", never)
+    monkeypatch.setattr("bac.errorlab.random_ffn", never)
     monkeypatch.setattr("bac.engine.MEMORY_CAP_BYTES", estimate - 1)
     assert run_cli("export", "--what", "remainder", "--dim", 16, "--out", out) == 2
     err = capsys.readouterr().err
@@ -632,10 +632,21 @@ def test_help_lists_exit_codes(capsys):
         assert code in out
 
 
+# `bac verify`'s stdout, byte for byte: every check's name, status and figures
+_VERIFY_STDOUT = (
+    "dp-vs-brute-force           PASS  max_abs_gap=0.000e+00\n"
+    "anchored-dp-vs-brute-force  PASS  max_abs_gap=0.000e+00\n"
+    "decomposition-identity      PASS  max_abs_gap=1.776e-15\n"
+    "first-order-response        PASS  remainder_ratio_median=4.000; "
+    "jacobian_rel_err=1.11e-10; null_response_d2=4.14e-15\n"
+    "bubble-union-properties     PASS  plans_checked=20\n"
+    "bit-exact-full-plan         PASS  seeds_checked=2\n"
+)
+
+
 def test_verify_command_green(capsys):
     assert main(["verify"]) == 0
-    out = capsys.readouterr().out
-    assert "dp-vs-brute-force" in out and "PASS" in out and "FAIL" not in out
+    assert capsys.readouterr().out == _VERIFY_STDOUT
 
 
 def test_module_entry_point_smoke(tmp_path):

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bac.blocks import BlockId
 from bac.bua import SchedulePlan
@@ -14,8 +16,10 @@ from bac.errorlab import (
     linear_response,
     ln_eps_free,
     ln_operators,
+    ln_stats,
     pearson,
     random_ffn,
+    remainder_curve,
     verify_first_order,
 )
 from bac.errors import CorrelationError, DegenerateFeatureError, DimensionError
@@ -36,6 +40,52 @@ def test_random_ffn_draw_order():
     got = random_ffn(np.random.default_rng(3), d)
     for name in ("w1", "b1", "w2", "b2", "gamma"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_remainder_curve_draws_ffn_then_x_then_delta():
+    """The one random first-order case of ``bac export --what remainder`` and
+    ``bac verify``: against the draws written out, for two cases in a row
+    from one generator."""
+    scales = [1e-2, 5e-3, 2.5e-3]
+    rng, mine = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(2):
+        params = random_ffn(rng, 6)
+        x = rng.normal(size=6)
+        delta = rng.normal(size=6)
+        delta /= np.linalg.norm(delta)
+        want = verify_first_order(params, x, delta, scales)
+        got = remainder_curve(mine, 6, scales)
+        assert np.array_equal(got.remainders, want.remainders)
+        assert np.array_equal(got.scales, want.scales)
+
+
+def _ln_operators_by_diagonal_product(x, gamma):
+    """The earlier form of ``ln_operators``: diag(gamma) as a d x d matrix
+    product, kept as the oracle of the broadcast."""
+    stats = ln_stats(x)
+    d, sigma = stats.d, stats.sigma
+    centered = x - stats.mu
+    a_op = (np.diag(gamma) @ (np.eye(d) - np.ones((d, d)) / d)) / sigma
+    b_op = (np.diag(gamma) @ np.outer(centered, centered)) / (d * sigma**3)
+    return a_op, b_op
+
+
+_lanes = st.integers(2, 40).flatmap(lambda d: st.tuples(
+    st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d),
+    st.lists(st.floats(0.5, 1.5), min_size=d, max_size=d)))
+
+
+@given(_lanes)
+@settings(max_examples=200, deadline=None)
+def test_ln_operators_equal_the_diagonal_product(lanes):
+    """The broadcast ``gamma[:, None] * M`` equals ``np.diag(gamma) @ M``
+    value for value: each product entry adds exact zeros to one rounded
+    product.  ``np.array_equal`` compares values, so only a zero's sign may
+    differ."""
+    x, gamma = (np.array(v) for v in lanes)
+    assume(np.std(x) > 1e-3)
+    for got, want in zip(ln_operators(x, gamma), _ln_operators_by_diagonal_product(x, gamma)):
+        assert np.array_equal(got, want)
 
 
 def test_lab_ffn_is_the_denoisers():

@@ -379,6 +379,30 @@ def test_report_malformed_line():
         fileio.parse_report("flops_full 1\n")
 
 
+# the mandatory keys, which each refused key below precedes on line 1
+_REPORT_TAIL = "flops_full=1\nflops_cached=1\nspeedup=1\nfinal_action_l2=0\n"
+
+
+@pytest.mark.parametrize("line, want", [
+    ("spedup=2", "line 1: unknown key 'spedup'"),
+    ("baseline_spedup=2", "line 1: unknown key 'baseline_spedup'"),
+    ("baseline_baseline_speedup=2", "line 1: unknown key 'baseline_baseline_speedup'"),
+    ("err.layers.1_0.SA=0.5", "line 1: bad layer index in 'layers.1_0.SA'"),
+    ("baseline_err.layers.0.XA=0.5", "line 1: bad block name 'layers.0.XA'"),
+    ("err=0.5", "line 1: unknown key 'err'"),
+])
+def test_report_refuses_a_key_no_writer_prints(tmp_path, line, want):
+    text = f"{line}\n{_REPORT_TAIL}"
+    with pytest.raises(FormatError) as err:
+        fileio.parse_report(text)
+    assert str(err.value) == want
+    path = tmp_path / "run.report"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        read_file(str(path), fileio.parse_report)
+    assert str(err.value) == f"{path}: {want}"
+
+
 _INT_REPORT_KEYS = ("flops_full", "flops_cached", "decoder_flops_full", "decoder_flops_cached")
 
 
@@ -576,6 +600,26 @@ def test_writers_refuse_a_batched_report_without_its_error_pass(
         fileio.write_report(batched, str(tmp_path / "run.report"))
     with pytest.raises(DimensionError):
         fileio.write_surface_csv(batched, str(tmp_path / "surface.csv"))
+    assert list(tmp_path.iterdir()) == []
+
+
+_WRITERS = {
+    "report": lambda report, path: fileio.write_report(report, path, baseline=report),
+    "surface": lambda report, path: fileio.write_surface_csv(report, path),
+    "matrix": lambda report, path: fileio.write_matrix_csv(np.eye(2), path),
+    "curve": lambda report, path: fileio.write_curve_csv([1.0], [2.0], path, ("x", "y")),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_a_writer_that_fails_to_format_leaves_no_file(tmp_path, monkeypatch, report, writer):
+    """Each writer builds its whole text before it opens a file."""
+    def broken(_value):
+        raise RuntimeError("fmt_float failed")
+
+    monkeypatch.setattr(fileio, "fmt_float", broken)
+    with pytest.raises(RuntimeError, match="fmt_float failed"):
+        _WRITERS[writer](report, str(tmp_path / "out"))
     assert list(tmp_path.iterdir()) == []
 
 
