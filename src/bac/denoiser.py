@@ -45,11 +45,8 @@ config a full pass holds 9.8 MB per episode and a cached run 4 KB per update.
 The hidden state that entered a block is not recorded; ``pre_block_states``
 rebuilds it from the served residuals with the loop's own adds, bit for bit.
 
-``execute`` can copy every step before the mask's first reuse from
-``reference``, a full pass of the same inputs, as ``engine.run_cached`` and
-the error lab's frozen-upstream pass do.  That saves time only where the full
-pass already exists, as in the lab; a deployed cached policy has none and
-computes every step.
+Every run, full or cached, computes from step 0, as a deployed cached
+policy does: no step is copied from another trace.
 """
 
 from __future__ import annotations
@@ -63,7 +60,7 @@ import numpy as np
 
 from .blocks import BlockId, canonical_blocks
 from .config import DenoiserConfig
-from .errors import ConsistencyError, DimensionError, PlanError
+from .errors import DimensionError, PlanError
 from .rng import SplitMix64
 
 LN_EPS = 1e-5
@@ -187,8 +184,8 @@ class FeatureTrace:
     update at or before t.  ``served(i)`` is block i's residual at every
     step.  ``actions[t]`` is the denoiser output after step t.  A batched
     ``execute`` puts a leading episode axis on ``computed`` and ``actions``.
-    ``inputs`` names the run's inputs, so ``execute`` can refuse a reference
-    of other inputs; ``execute`` returns its arrays read-only.
+    ``inputs`` names the run's inputs, so ``engine.run_cached`` can refuse a
+    reference of other inputs; ``execute`` returns its arrays read-only.
 
     In a full pass every block updates at every step, so ``slot`` is the
     identity and ``residuals`` is the dense (3L, K, T, d_model) array, a free
@@ -402,7 +399,6 @@ def execute(
     update: np.ndarray,
     init_noise: np.ndarray,
     obs: np.ndarray,
-    reference: FeatureTrace | None = None,
 ) -> tuple[np.ndarray, FeatureTrace]:
     """Run all K steps under update-then-reuse, feeding each output into the next step.
 
@@ -412,13 +408,8 @@ def execute(
     must update every block (the cache starts cold).  The returned trace
     stores each computed residual once, at its block-major slot, and the slot
     each (block, step) served; ``pre_block_states`` rebuilds from it the
-    hidden state that entered any block.
-
-    ``reference`` is an optional full pass of the same inputs: the steps
-    before the first at which some block reuses are copied from it, and the
-    loop starts there.  A reference that is not a full pass of this run, by
-    its shapes or its inputs' digest, raises ``ConsistencyError`` before any
-    block runs.  The returned trace's arrays are read-only.
+    hidden state that entered any block.  The returned trace's arrays are
+    read-only.
 
     ``init_noise`` (E, T, a) and ``obs`` (E, obs_dim) run E episodes as one
     batch under the shared mask; every result gains a leading episode axis.
@@ -441,19 +432,6 @@ def execute(
     cold = np.flatnonzero(~update[:, 0])
     if cold.size:
         raise PlanError(f"{blocks[cold[0]].name}: cold cache, step 0 must be an update")
-    inputs = input_digest(action, obs)
-    start = 0
-    if reference is not None:
-        n, K, T = *update.shape, cfg.action_tokens
-        got = (reference.computed.shape, reference.slot.shape, reference.actions.shape)
-        want = ((*lead, n * K, T, cfg.d_model), (n, K), (*lead, K, T, cfg.action_dim))
-        if got != want or reference.inputs != inputs:
-            why = (f"computed, slot and actions shapes {got}, want {want}" if got != want
-                   else "it ran on other init_noise and obs")
-            raise ConsistencyError(f"reference is not a full trace of this run: {why}")
-        # the first step at which some block reuses; step 0 never does, so 0 means none
-        start = int(np.argmin(update.all(axis=0))) or K
-
     # step 0 always updates, so no block's slots point into the block before it
     slot = np.cumsum(update.ravel()).reshape(update.shape) - 1
     computed = np.empty((*lead, np.count_nonzero(update), cfg.action_tokens, cfg.d_model))
@@ -462,15 +440,9 @@ def execute(
     steps = update.T.tolist()  # steps[t][i]: plain bools, no numpy indexing per block
     slots = slot.T.tolist()
     served: list[np.ndarray | None] = [None] * len(blocks)  # each block's last served residual
-    if start:  # every block updates at the steps before start
-        computed[..., slot[:, :start], :, :] = reference.residuals[..., :start, :, :]
-        actions[..., :start, :, :] = reference.actions[..., :start, :, :]
-        action = actions[..., start - 1, :, :].copy()
-        for i, s in enumerate(slot[:, start - 1].tolist()):
-            served[i] = by_slot[s]
 
     cross = cross_kv(denoiser, encode_obs(denoiser, obs))
-    for t in range(start, cfg.K):
+    for t in range(cfg.K):
         h = embed_action(denoiser, action, t)  # a fresh array, so += is safe
         row, at = steps[t], slots[t]
         for i, block in enumerate(blocks):
@@ -482,7 +454,7 @@ def execute(
 
     for arr in (computed, slot, actions):  # a report may read them long after the run
         arr.flags.writeable = False
-    return action, FeatureTrace(computed, slot, actions, inputs)
+    return action, FeatureTrace(computed, slot, actions, input_digest(init_noise, obs))
 
 
 def pre_block_states(

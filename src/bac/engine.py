@@ -11,18 +11,16 @@ step) served.  Errors are measured by ``block_errors``, the one error pass
 (the error-surge lab reads it through ``run_cached`` too), against the
 caller's full-precision reference run with identical inputs: block by block,
 each block's served residuals are gathered once, and the L2 distance of every
-step is one einsum.  ``run_cached`` passes the reference to ``execute``,
-which checks it and copies the steps before the plan's first reuse, step 0 at
-least.
+step is one einsum.  ``run_cached`` checks that the reference is a full pass
+of the run's shapes and inputs before any block runs; the run itself
+computes every step from step 0 and reads nothing from the reference.
 
-The wall time of ``run_cached`` covers ``execute`` from the first reuse plus
-the mask and MAC bookkeeping, and no error pass: a cached policy computes no
-errors, so the report runs ``block_errors`` when its ``errors`` is first read
-(in ``bac run``, inside the report writers) and keeps the run trace (about
-4 KB per update) and the reference alive until it is dropped.  It is still a
-lab figure: a deployed cached policy has no reference and computes the copied
-prefix, so against a full pass it overstates what a deployment saves by that
-prefix.
+The wall time of ``run_cached`` covers ``execute`` of the whole plan plus the
+reference check and the mask and MAC bookkeeping, and no error pass: a cached
+policy computes no errors, so the report runs ``block_errors`` when its
+``errors`` is first read (in ``bac run``, inside the report writers) and keeps
+the run trace (about 4 KB per update) and the reference alive until it is
+dropped.  So it times what a deployed cached policy runs.
 
 Cost model (multiply-accumulates, elementwise ops free).  This module owns
 it: ``block_cost`` and ``overhead_per_step`` give the block and per-step
@@ -41,8 +39,7 @@ reads them from the plan's ``update_mask`` alone.  The conditioning enters at
 every step: the observation encoding in the overhead, and the key and value
 projections of the tokens (2*Tc*d^2) in every CA call, although
 ``denoiser.execute`` computes both once per run, since the tokens do not
-change across steps.  The steps ``run_cached`` copies from its reference are
-counted as if they had run.
+change across steps.
 
 flops_full counts every block at every step; flops_cached zeroes skipped
 blocks and adds the reuse charges.  Decoder-only figures exclude both the
@@ -59,7 +56,7 @@ import numpy as np
 
 from .blocks import BlockId, canonical_blocks
 from .config import DenoiserConfig
-from .denoiser import FeatureTrace, ToyDenoiser, execute
+from .denoiser import FeatureTrace, ToyDenoiser, execute, input_digest
 from .errors import ConfigError, ConsistencyError, PlanError
 from .bua import SchedulePlan
 from .scheduler import Schedule, check_budget
@@ -273,9 +270,10 @@ def run_cached(
 ) -> tuple[np.ndarray, RunReport]:
     """Execute the plan and report it against ``reference``, the full trace
     of ``denoise_full`` on the same inputs (sweeps share one across plans).
-    ``execute`` copies the steps before the plan's first reuse from it, and
-    refuses a reference that is not a full pass of the run's shapes and
-    inputs with ``ConsistencyError`` before any block runs.
+    A reference that is not a full pass of the run, by its shapes or by the
+    ``input_digest`` of the inputs it ran on, is refused with
+    ``ConsistencyError`` before any block runs.  The run computes every step
+    from step 0 and copies nothing from the reference.
 
     The report's mask (the plan's ``update_mask``), deviation and MACs are
     filled here, and its ``errors`` when first read.
@@ -285,9 +283,17 @@ def run_cached(
     ``final_action_l2`` gain the episode axis, and each row equals its own
     one-episode run bit for bit.
     """
-    flops = flops_estimate(denoiser.config, plan)
-    action, run = execute(denoiser, plan.update_mask, init_noise, obs, reference=reference)
-    lead = action.shape[:-2]
+    cfg = denoiser.config
+    flops = flops_estimate(cfg, plan)
+    lead = np.shape(init_noise)[:-2]
+    n, K, T = 3 * cfg.layers, cfg.K, cfg.action_tokens
+    got = (reference.computed.shape, reference.slot.shape, reference.actions.shape)
+    want = ((*lead, n * K, T, cfg.d_model), (n, K), (*lead, K, T, cfg.action_dim))
+    if got != want or reference.inputs != input_digest(init_noise, obs):
+        why = (f"computed, slot and actions shapes {got}, want {want}" if got != want
+               else "it ran on other init_noise and obs")
+        raise ConsistencyError(f"reference is not a full trace of this run: {why}")
+    action, run = execute(denoiser, plan.update_mask, init_noise, obs)
     sq = ((action - reference.actions[..., -1, :, :]) ** 2).reshape(*lead, -1)
     final_dev = np.sqrt(np.mean(sq, axis=-1))
     report = RunReport(

@@ -236,8 +236,8 @@ def error_surge_experiment(
     Seeds are an array axis: the episodes of all seeds (each
     ``synth_episode(config, derive_seed(seed, 0))``) run as one batched full
     pass and one batched ``engine.run_cached`` of the frozen-upstream plan,
-    which copies step 0 from the full pass, its ``reference``, and each beta
-    is one batched ``block_residual``.  The errors are the report's
+    measured against the full pass, its ``reference``, and each beta is one
+    batched ``block_residual``.  The errors are the report's
     ``errors``, and the downstream inputs come from ``pre_block_states`` of
     the report's ``run`` trace.
     """

@@ -11,7 +11,9 @@ profile:   BAC-PROFILE v1 / K=<int> / BLOCKS=<int> followed, per block in
 schedule:  one line per block, `layers.<l>.<KIND>: c0,c1,...` ascending with
            0 present.
 report:    flat key=value lines: the seven section keys and err.<block>, each
-           bare or with the baseline_ prefix; any other key is refused.
+           bare or with the baseline_ prefix; any other key, a block named
+           twice and a section without its mandatory keys or with a gap in
+           its blocks are refused.
 
 Schedules and reports are read by ``errors.read_entries``, and every number by
 ``errors.parse_int`` or ``errors.parse_float``: the grammar the config shares.
@@ -207,21 +209,34 @@ def dump_report(report: RunReport, baseline: RunReport | None = None) -> str:
 
 def parse_report(text: str) -> dict[str, float]:
     """The values of a report, by key.  A key is a section key or
-    ``err.<block>``, bare or after ``baseline_``; any other key is a
-    ``FormatError`` naming its line."""
+    ``err.<block>``, bare or after ``baseline_``; any other key, or a block
+    named twice in one section, is a ``FormatError`` naming its line.  The
+    bare section, and the ``baseline_`` one if any key has that prefix, needs
+    the mandatory keys and, if it names a block, every block of the layers
+    its blocks fill: else a ``ConsistencyError`` names the first missing key."""
+    sections: dict[str, set[str]] = {"": set()}  # each section's keys, blocks named canonically
 
     def value(key: str, val: str) -> float:
-        name = key.removeprefix(_BASELINE)
+        prefix = _BASELINE if key.startswith(_BASELINE) else ""
+        name, seen = key[len(prefix):], sections.setdefault(prefix, set())
         if name.startswith("err."):
-            parse_block_name(name[len("err."):])
+            name = "err." + parse_block_name(name[len("err."):]).name
         elif name not in _SECTION_KEYS:
             raise FormatError(f"unknown key {key!r}")
+        if name in seen:  # `err.layers.0.SA` and `err.layers.00.SA` are one block
+            raise FormatError(f"duplicate key {prefix + name!r}")
+        seen.add(name)
         return parse_float(val)
 
     values = read_entries(text, "=", value, "key=value")
-    missing = [k for k in MANDATORY_REPORT_KEYS if k not in values]
-    if missing:
-        raise ConsistencyError(f"report misses keys: {', '.join(missing)}")
+    for prefix, seen in sections.items():
+        # m distinct blocks fill whole layers iff they are the first 3*ceil(m/3)
+        # blocks, so a missing one is among those, however large a layer named
+        blocks = -(-sum(name.startswith("err.") for name in seen) // 3) * 3
+        wanted = (*MANDATORY_REPORT_KEYS, *(f"err.{block_at(i).name}" for i in range(blocks)))
+        first = next((prefix + k for k in wanted if k not in seen), None)
+        if first is not None:
+            raise ConsistencyError(f"report misses key {first}")
     return values
 
 

@@ -165,10 +165,10 @@ def check_bubble_union_properties() -> Check:
 
 
 def check_bit_exact_full_plan() -> Check:
-    """``run_cached``, which copies the steps before the plan's first reuse
-    from its reference, against ``execute`` of the same mask with no
-    reference, bit for bit: the full plan, copied whole, and a uniform plan
-    that reuses, in its action and in every block's errors."""
+    """``run_cached`` bit for bit: the full plan, computed from step 0,
+    against the full pass it is reported against, and a uniform plan that
+    reuses against ``execute`` of the same mask, in its action and in every
+    block's errors."""
     seeds = (3, 11)
     config = DenoiserConfig(layers=3, d_model=32, heads=4, K=40)
     denoiser = build_denoiser(config)

@@ -48,6 +48,12 @@ def small_trace(small_denoiser, small_episode):
     return final, trace
 
 
+def stacked_episodes(config, seed, count):
+    """``count`` seeded episodes stacked into one batch: (inits, obss)."""
+    runs = [synth_episode(config, derive_seed(seed, e)) for e in range(count)]
+    return np.stack([init for init, _ in runs]), np.stack([obs for _, obs in runs])
+
+
 @pytest.fixture(scope="session")
 def default_config():
     return DenoiserConfig()

@@ -147,8 +147,8 @@ def test_criterion_04_bit_exact_degenerate_caching(default_denoiser, default_con
             layers=cfg.layers,
             schedules={b: full for b in canonical_blocks(cfg.layers)},
         )
-        # run_cached serves the full plan from its reference, so a plan that
-        # reuses is checked against execute from step 0 with no reference
+        # run_cached computes every step of the full plan from step 0; a plan
+        # that reuses is checked against execute of its mask too
         reusing = uniform_plan(cfg.K, 10, cfg.layers)
         for seed in range(10):
             init, obs = synth_episode(cfg, derive_seed(seed, 0))

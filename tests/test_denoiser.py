@@ -27,11 +27,12 @@ from bac.denoiser import (
 )
 from bac.bua import SchedulePlan
 from bac.engine import flops_estimate, run_cached, uniform_plan
-from bac.errors import ConfigError, ConsistencyError, DimensionError
+from bac.errors import ConfigError, DimensionError
 from bac.profiler import profile_task
 from bac.rng import derive_seed
 from bac.scheduler import solve_schedule
-from conftest import MacTally, execute_oracle, plain_gelu, plain_softmax, two_pass_layer_norm
+from conftest import (MacTally, execute_oracle, plain_gelu, plain_softmax, stacked_episodes,
+                      two_pass_layer_norm)
 
 
 def test_build_is_deterministic(small_config):
@@ -262,7 +263,7 @@ def test_execute_equals_plain_kernel_loop(heads, E, cached):
     if E == 1:  # one unbatched episode
         init, obs = synth_episode(cfg, derive_seed(11, heads))
     else:
-        init, obs = _episodes(cfg, 11 + heads, E)
+        init, obs = stacked_episodes(cfg, 11 + heads, E)
     tally = MacTally()
     action, trace = execute(den, update, init, obs)
     want_action, want_residuals, want_actions, _ = execute_oracle(
@@ -316,7 +317,7 @@ def test_compact_trace_serves_what_the_oracle_served(small_denoiser, update, E, 
         init, obs = synth_episode(cfg, seed)
         rows = [(init, obs)]
     else:
-        init, obs = _episodes(cfg, seed, E)
+        init, obs = stacked_episodes(cfg, seed, E)
         rows = list(zip(init, obs))
     _, trace = execute(small_denoiser, update, init, obs)
 
@@ -352,11 +353,6 @@ def test_execute_returns_a_read_only_trace(small_denoiser, small_episode):
 # -- a leading episode axis on execute ------------------------------------------
 
 
-def _episodes(config, seed, count):
-    runs = [synth_episode(config, derive_seed(seed, e)) for e in range(count)]
-    return np.stack([init for init, _ in runs]), np.stack([obs for _, obs in runs])
-
-
 @given(
     st.integers(1, 6),
     st.integers(0, 2**32 - 1),
@@ -369,7 +365,7 @@ def test_batched_execute_equals_row_by_row(small_denoiser, E, seed, density):
     rng = np.random.default_rng(seed)
     update = rng.random((3 * cfg.layers, cfg.K)) < density
     update[:, 0] = True
-    inits, obss = _episodes(cfg, seed, E)
+    inits, obss = stacked_episodes(cfg, seed, E)
     action, trace = execute(small_denoiser, update, inits, obss)
     assert trace.computed.shape == (E, update.sum(), cfg.action_tokens, cfg.d_model)
     computed = trace.computed.copy()
@@ -399,17 +395,17 @@ def _assert_rejected_before_any_block(monkeypatch, denoiser, init, obs):
 
 
 def test_execute_rejects_obs_batch_of_other_length(small_denoiser, small_config, monkeypatch):
-    inits, obss = _episodes(small_config, 3, 3)
+    inits, obss = stacked_episodes(small_config, 3, 3)
     _assert_rejected_before_any_block(monkeypatch, small_denoiser, inits, obss[:2])
 
 
 def test_execute_rejects_four_dimensional_noise(small_denoiser, small_config, monkeypatch):
-    inits, obss = _episodes(small_config, 3, 2)
+    inits, obss = stacked_episodes(small_config, 3, 2)
     _assert_rejected_before_any_block(monkeypatch, small_denoiser, inits[None], obss[None])
 
 
 def test_execute_rejects_empty_batch(small_denoiser, small_config, monkeypatch):
-    inits, obss = _episodes(small_config, 3, 1)
+    inits, obss = stacked_episodes(small_config, 3, 1)
     _assert_rejected_before_any_block(monkeypatch, small_denoiser, inits[:0], obss[:0])
 
 
@@ -417,62 +413,3 @@ def test_execute_rejects_unbatched_bad_shapes(small_denoiser, small_episode, mon
     init, obs = small_episode
     _assert_rejected_before_any_block(monkeypatch, small_denoiser, init[:, :-1], obs)
     _assert_rejected_before_any_block(monkeypatch, small_denoiser, init, obs[:-1])
-
-
-# -- resuming from a full reference -------------------------------------------
-
-
-@given(
-    st.integers(1, 12),  # the first step at which some block reuses; 12: none does
-    st.integers(1, 3),  # E
-    st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=60, deadline=None)
-def test_resumed_execute_equals_the_oracle(small_denoiser, first_reuse, E, seed):
-    cfg = small_denoiser.config
-    rng = np.random.default_rng(seed)
-    update = rng.random((3 * cfg.layers, cfg.K)) < 0.3
-    update[:, :first_reuse] = True
-    if first_reuse < cfg.K:
-        update[rng.integers(len(update)), first_reuse] = False
-    inits, obss = _episodes(cfg, seed, E)
-    _, reference = denoise_full(small_denoiser, inits, obss)
-    action, trace = execute(small_denoiser, update, inits, obss, reference=reference)
-    _, plain = execute(small_denoiser, update, inits, obss)
-    want_action, want_residuals, want_actions, _ = execute_oracle(
-        small_denoiser, update, inits, obss)
-    assert np.array_equal(action, want_action)
-    assert np.array_equal(_dense(trace), want_residuals)
-    assert np.array_equal(trace.actions, want_actions)
-    assert np.array_equal(trace.computed, plain.computed)
-    assert np.array_equal(trace.slot, plain.slot)
-
-
-def _resume_cases(small_denoiser, small_config):
-    """(init, obs, reference) triples whose reference is not a full pass of the run."""
-    inits, obss = _episodes(small_config, 3, 3)
-    _, full = denoise_full(small_denoiser, inits, obss)
-    shorter = build_denoiser(dataclasses.replace(small_config, K=small_config.K - 1))
-    _, short = denoise_full(shorter, inits, obss)
-    every_fourth = np.zeros((3 * small_config.layers, small_config.K), dtype=bool)
-    every_fourth[:, ::4] = True
-    _, cached = execute(small_denoiser, every_fourth, inits, obss)
-    return {
-        "fewer-episodes": (inits[:2], obss[:2], full),
-        "unbatched": (inits[0], obss[0], full),
-        "shorter-horizon": (inits, obss, short),
-        "other-inputs": (*_episodes(small_config, 4, 3), full),
-        "reordered-episodes": (inits[::-1], obss[::-1], full),
-        "cached-trace": (inits, obss, cached),
-    }
-
-
-@pytest.mark.parametrize("case", ["fewer-episodes", "unbatched", "shorter-horizon",
-                                  "other-inputs", "reordered-episodes", "cached-trace"])
-def test_execute_rejects_a_resume_trace_that_does_not_fit(small_denoiser, small_config,
-                                                          monkeypatch, case):
-    init, obs, reference = _resume_cases(small_denoiser, small_config)[case]
-    monkeypatch.setattr("bac.denoiser.block_residual", _never)
-    update = np.ones((3 * small_config.layers, small_config.K), dtype=bool)
-    with pytest.raises(ConsistencyError, match="reference is not a full trace of this run"):
-        execute(small_denoiser, update, init, obs, reference=reference)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -26,7 +27,7 @@ from bac.profiler import similarity_matrix
 from bac.errors import BudgetError, ConfigError, ConsistencyError, PlanError
 from bac.rng import derive_seed
 from bac.scheduler import Schedule
-from conftest import MacTally, execute_oracle
+from conftest import MacTally, execute_oracle, stacked_episodes
 
 
 def _plan(config, steps_fn):
@@ -73,9 +74,9 @@ def test_uniform_plan_exact_step_count():
 
 
 def test_full_plan_bit_exact(small_denoiser, small_config, small_episode):
-    """The full plan, served whole from its reference, and a plan that reuses
-    from step 1 on, against ``execute`` of the same mask from step 0 with no
-    reference."""
+    """The full plan, computed from step 0, against the full pass it is
+    reported against, and a plan that reuses from step 1 on against
+    ``execute`` of the same mask."""
     init, obs = small_episode
     want, trace = denoise_full(small_denoiser, init, obs)
     got, report = run_cached(small_denoiser, full_plan(small_config), init, obs,
@@ -204,38 +205,46 @@ def test_plan_mismatch_errors(small_denoiser, small_config, small_episode, monke
 def test_run_cached_needs_a_full_reference_of_its_config(small_denoiser, small_config,
                                                         small_episode, monkeypatch):
     """The caller's full pass is the only reference: none is a TypeError, and a
-    cached trace or another config's full trace fails by name before the run."""
+    cached trace, another config's full trace or a full trace of a shorter
+    horizon fails by name before the run, one episode or three."""
     init, obs = small_episode
     plan = _plan(small_config, lambda b: (0, 5))
     with pytest.raises(TypeError):
         run_cached(small_denoiser, plan, init, obs)
     every_fourth = np.zeros((3 * small_config.layers, small_config.K), dtype=bool)
     every_fourth[:, ::4] = True
-    _, cached = execute(small_denoiser, every_fourth, init, obs)
     other = DenoiserConfig(layers=small_config.layers, d_model=8, heads=2, action_tokens=4,
                            cond_tokens=2, action_dim=3, K=small_config.K, seed=1)
-    _, foreign = denoise_full(build_denoiser(other), init, synth_episode(other, 0)[1])
+    shorter = build_denoiser(dataclasses.replace(small_config, K=small_config.K - 1))
+    inits, obss = stacked_episodes(small_config, 3, 3)
+    cases = [(init, obs, execute(small_denoiser, every_fourth, init, obs)[1]),
+             (init, obs, denoise_full(build_denoiser(other), init, synth_episode(other, 0)[1])[1]),
+             (inits, obss, execute(small_denoiser, every_fourth, inits, obss)[1]),
+             (inits, obss, denoise_full(shorter, inits, obss)[1])]
     monkeypatch.setattr("bac.denoiser.block_residual", _never)
-    for bad in (cached, foreign):
-        with pytest.raises(ConsistencyError, match="not a full trace of this run"):
-            run_cached(small_denoiser, plan, init, obs, reference=bad)
+    for noise, o, bad in cases:
+        with pytest.raises(ConsistencyError, match="reference is not a full trace of this run"):
+            run_cached(small_denoiser, plan, noise, o, reference=bad)
 
 
 def test_run_cached_reference_has_the_runs_episode_axis(small_denoiser, small_episode,
                                                        monkeypatch):
-    """A batched reference for a one-episode run, or a one-episode reference
-    for a batched run, fails by name with both shapes, before the run."""
+    """A batched reference for a one-episode run, a one-episode reference for
+    a batched run, or a reference of more episodes than the run fails by name
+    with both shapes, before the run."""
     init, obs = small_episode
     inits, obss = np.stack([init, init]), np.stack([obs, obs])
     one = denoise_full(small_denoiser, init, obs)[1]
     two = denoise_full(small_denoiser, inits, obss)[1]
+    three = denoise_full(small_denoiser, *stacked_episodes(small_denoiser.config, 3, 3))[1]
     plan = _plan(small_denoiser.config, lambda b: (0, 5))
 
     def shapes(trace):
         return re.escape(str((trace.computed.shape, trace.slot.shape, trace.actions.shape)))
 
     monkeypatch.setattr("bac.denoiser.block_residual", _never)
-    for noise, o, bad, good in ((init, obs, two, one), (inits, obss, one, two)):
+    for noise, o, bad, good in ((init, obs, two, one), (inits, obss, one, two),
+                                (inits, obss, three, two)):
         with pytest.raises(ConsistencyError, match=f"{shapes(bad)}, want {shapes(good)}"):
             run_cached(small_denoiser, plan, noise, o, reference=bad)
 
@@ -279,9 +288,9 @@ def test_batched_report_block_means_average_episodes_and_steps(small_denoiser, s
 
 def test_run_cached_refuses_a_reference_of_other_inputs(small_denoiser, small_config,
                                                        monkeypatch):
-    """A full reference of another episode, or of the run's episodes in
-    another order, fails by name before any block runs: a full plan would
-    otherwise return that reference's final action with deviation 0."""
+    """A full reference of another episode or batch, or of the run's episodes
+    in another order, fails by name before any block runs: its final action
+    would otherwise be measured as this run's."""
     runs = [synth_episode(small_config, derive_seed(21, e)) for e in range(3)]
     inits, obss = (np.stack(arrays) for arrays in zip(*runs))
     (init, obs), (other_init, other_obs) = runs[:2]
@@ -290,7 +299,8 @@ def test_run_cached_refuses_a_reference_of_other_inputs(small_denoiser, small_co
 
     monkeypatch.setattr("bac.denoiser.block_residual", _never)
     for noise, o, bad in ((init, obs, other), (other_init, obs, other),
-                          (inits[::-1], obss[::-1], batch)):
+                          (inits[::-1], obss[::-1], batch),
+                          (*stacked_episodes(small_config, 4, 3), batch)):
         for plan in (full_plan(small_config),
                      uniform_plan(small_config.K, 4, small_config.layers)):
             with pytest.raises(ConsistencyError, match="reference is not a full trace of "
@@ -550,14 +560,14 @@ def test_default_config_is_far_below_the_cap(default_config):
     check_memory(default_config, full_traces=10)
 
 
-@pytest.mark.parametrize("steps,served", [((0, 1, 5), 2), ((0, 3, 6, 9), 1),
-                                          (tuple(range(12)), 12)])
-def test_run_cached_computes_no_step_its_reference_holds(small_denoiser, small_config,
-                                                         small_episode, monkeypatch,
-                                                         steps, served):
-    """The steps before the plan's first reuse come from the reference, and so
-    do all steps of the full plan."""
-    init, obs = small_episode
+@pytest.mark.parametrize("E", [None, 2], ids=["one-episode", "two-episodes"])
+@pytest.mark.parametrize("steps", [(0, 1, 5), (0, 3, 6, 9), tuple(range(12))])
+def test_run_cached_computes_every_update_of_its_plan(small_denoiser, small_config,
+                                                      monkeypatch, steps, E):
+    """One block call per update of the plan's mask, the steps before its
+    first reuse and every step of the full plan included: nothing is copied
+    from the reference."""
+    init, obs = stacked_episodes(small_config, 8, E) if E else synth_episode(small_config, 8)
     _, ref = denoise_full(small_denoiser, init, obs)
     calls = []
     real = denoiser_module.block_residual
@@ -569,4 +579,4 @@ def test_run_cached_computes_no_step_its_reference_holds(small_denoiser, small_c
     monkeypatch.setattr("bac.denoiser.block_residual", counted)
     plan = _plan(small_config, lambda b: steps)
     run_cached(small_denoiser, plan, init, obs, reference=ref)
-    assert len(calls) == 3 * small_config.layers * (len(steps) - served)
+    assert len(calls) == plan.update_mask.sum()

@@ -379,7 +379,7 @@ def test_report_malformed_line():
         fileio.parse_report("flops_full 1\n")
 
 
-# the mandatory keys, which each refused key below precedes on line 1
+# the mandatory keys, which the refused lines below precede
 _REPORT_TAIL = "flops_full=1\nflops_cached=1\nspeedup=1\nfinal_action_l2=0\n"
 
 
@@ -390,6 +390,9 @@ _REPORT_TAIL = "flops_full=1\nflops_cached=1\nspeedup=1\nfinal_action_l2=0\n"
     ("err.layers.1_0.SA=0.5", "line 1: bad layer index in 'layers.1_0.SA'"),
     ("baseline_err.layers.0.XA=0.5", "line 1: bad block name 'layers.0.XA'"),
     ("err=0.5", "line 1: unknown key 'err'"),
+    ("err.layers.0.SA=1\nerr.layers.00.SA=2", "line 2: duplicate key 'err.layers.0.SA'"),
+    ("baseline_err.layers.1.CA=1\nbaseline_err.layers.01.CA=2",
+     "line 2: duplicate key 'baseline_err.layers.1.CA'"),
 ])
 def test_report_refuses_a_key_no_writer_prints(tmp_path, line, want):
     text = f"{line}\n{_REPORT_TAIL}"
@@ -401,6 +404,25 @@ def test_report_refuses_a_key_no_writer_prints(tmp_path, line, want):
     with pytest.raises(FormatError) as err:
         read_file(str(path), fileio.parse_report)
     assert str(err.value) == f"{path}: {want}"
+
+
+_ONE_LAYER_ERRS = "err.layers.0.SA=0\nerr.layers.0.CA=0\nerr.layers.0.FFN=0\n"
+
+
+@pytest.mark.parametrize("text, first", [
+    ("err.layers.9.FFN=1\n" + _REPORT_TAIL, "err.layers.0.SA"),
+    ("err.layers.0.SA=1\nerr.layers.0.FFN=1\n" + _REPORT_TAIL, "err.layers.0.CA"),
+    (_ONE_LAYER_ERRS + "err.layers.1.CA=1\n" + _REPORT_TAIL, "err.layers.1.SA"),
+    ("baseline_speedup=2\n" + _REPORT_TAIL, "baseline_flops_full"),
+    ("baseline_err.layers.0.SA=1\n" + _REPORT_TAIL, "baseline_flops_full"),
+    (_REPORT_TAIL + "".join(f"baseline_{line}\n" for line in _REPORT_TAIL.splitlines())
+     + "baseline_err.layers.0.CA=1\n", "baseline_err.layers.0.SA"),
+], ids=["lone-block", "gap-in-layer", "gap-in-last-layer", "baseline-key-alone",
+        "baseline-block-alone", "baseline-gap"])
+def test_report_refuses_an_incomplete_section(text, first):
+    with pytest.raises(ConsistencyError) as err:
+        fileio.parse_report(text)
+    assert str(err.value) == f"report misses key {first}"
 
 
 _INT_REPORT_KEYS = ("flops_full", "flops_cached", "decoder_flops_full", "decoder_flops_cached")
